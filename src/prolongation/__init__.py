@@ -2,7 +2,7 @@
 for first-order constraints that pin the Jacobian of an unknown map to a
 subspace (or curved family) of matrices."""
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES, Tolerances
 from .symtensor import (
     HomPoly,
     PolyMap,
@@ -46,6 +46,7 @@ from .obstruct import (
     complex_structure_plane,
     find_complex_pair,
     find_rank_one,
+    find_witnesses,
     verify_complex_pair,
     verify_rank_one,
 )

@@ -7,12 +7,13 @@ inconsistency.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES
 from .manifolds import (
     augmented_from_json,
     augmented_jet_space,
@@ -21,59 +22,10 @@ from .manifolds import (
     tangent_space,
 )
 from .matspace import subspace_from_json, subspace_to_json
-from .obstruct import (
-    InternalInconsistencyError,
-    classify_delta_full,
-    find_complex_pair,
-    find_rank_one,
-)
+from .obstruct import InternalInconsistencyError, classify_delta_full, find_witnesses
 from .polyspace import reduced_basis, solution_basis, verify_membership
 from .prolong import chain
 from .symtensor import polymap_from_json
-
-
-@dataclass
-class RunConfig:
-    """Effective configuration, embedded verbatim in every report."""
-
-    subcommand: str
-    input_path: str | None = None
-    k_max: int = 8
-    seed: int = 0
-    restarts: int = 64
-    out: str | None = None
-    format: str = "json"
-    samples: int = 100
-    radius: float = 1.0
-    tol: float = 1e-9
-    degree: int = 6
-    family: str | None = None
-    dim: int | None = None
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def to_json(self) -> dict:
-        out = {
-            "subcommand": self.subcommand,
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "format": self.format,
-            "tolerances": DEFAULT_TOLERANCES.to_dict(),
-        }
-        if self.input_path is not None:
-            out["input"] = self.input_path
-        for key in ("samples", "radius", "tol", "degree", "family", "dim"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 def _jsonable(value):
@@ -92,22 +44,31 @@ def _jsonable(value):
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in input")
+    return value
+
+
 def _load_json(path: str) -> dict:
+    """Parse a JSON input file, rejecting NaN, Infinity and overflowing numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
 
 
-def _emit(report: dict, config: RunConfig, bare: bool = False) -> None:
-    if bare:
+def _emit(report: dict, config: dict | None, out: str | None) -> None:
+    """Write the report; a None config writes the bare result."""
+    if config is None:
         payload = _jsonable(report)
     else:
-        payload = _jsonable({"config": config.to_json(), "result": report})
-    if config.format == "table" and not bare:
+        payload = _jsonable({"config": config, "result": report})
+    if config is not None and config["format"] == "table":
         text = _render_table(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -138,26 +99,26 @@ def _alpha_total_field(report) -> dict:
     return body
 
 
-def _cmd_chain(config: RunConfig) -> dict:
-    V = subspace_from_json(_load_json(config.input_path))
-    return _alpha_total_field(chain(V, config.k_max))
+def _cmd_chain(args) -> dict:
+    V = subspace_from_json(_load_json(args.input))
+    return _alpha_total_field(chain(V, args.k_max))
 
 
-def _cmd_detect(config: RunConfig) -> dict:
-    V = subspace_from_json(_load_json(config.input_path))
-    result: dict = {"n": V.n, "m": V.m, "dim_v": V.dim}
-    rank_one = find_rank_one(V, config.seed, config.restarts) if V.dim >= 1 else None
-    complex_pair = None
-    if V.dim >= 2 and V.m >= 2 and V.n >= 2:
-        complex_pair = find_complex_pair(V, config.seed, config.restarts)
-    result["rank_one"] = rank_one.to_json() if rank_one else "inconclusive"
-    result["complex_pair"] = complex_pair.to_json() if complex_pair else "inconclusive"
-    return result
+def _cmd_detect(args) -> dict:
+    V = subspace_from_json(_load_json(args.input))
+    rank_one, complex_pair = find_witnesses(V, args.seed, args.restarts)
+    return {
+        "n": V.n,
+        "m": V.m,
+        "dim_v": V.dim,
+        "rank_one": rank_one.to_json() if rank_one else "inconclusive",
+        "complex_pair": complex_pair.to_json() if complex_pair else "inconclusive",
+    }
 
 
-def _cmd_classify(config: RunConfig) -> dict:
-    V = subspace_from_json(_load_json(config.input_path))
-    outcome = classify_delta_full(V, config.k_max, config.seed, config.restarts)
+def _cmd_classify(args) -> dict:
+    V = subspace_from_json(_load_json(args.input))
+    outcome = classify_delta_full(V, args.k_max, args.seed, args.restarts)
     result = {
         "n": V.n,
         "m": V.m,
@@ -171,9 +132,9 @@ def _cmd_classify(config: RunConfig) -> dict:
     return result
 
 
-def _cmd_polysolve(config: RunConfig) -> dict:
-    V = subspace_from_json(_load_json(config.input_path))
-    report = chain(V, config.k_max)
+def _cmd_polysolve(args) -> dict:
+    V = subspace_from_json(_load_json(args.input))
+    report = chain(V, args.k_max)
     if report.delta.status != "finite":
         return {
             "delta": report.delta.to_json(),
@@ -191,36 +152,116 @@ def _cmd_polysolve(config: RunConfig) -> dict:
     }
 
 
-def _cmd_manifold(config: RunConfig, emit_tangent: bool) -> dict:
-    family = builtin_family(config.family, config.dim)
-    if emit_tangent:
+def _cmd_manifold(args) -> dict:
+    family = builtin_family(args.family, args.dim)
+    if args.emit_tangent:
         # raw subspace file, replayable through the linear subcommands
         V = tangent_space(family, family.base_point)
         return subspace_to_json(V)
     report = sample_analysis(
-        family, sample_count=config.samples, k_max=config.k_max,
-        seed=config.seed, restarts=config.restarts,
+        family, sample_count=args.samples, k_max=args.k_max,
+        seed=args.seed, restarts=args.restarts,
     )
     return report.to_json()
 
 
-def _cmd_verify(config: RunConfig, poly_path: str) -> dict:
-    V = subspace_from_json(_load_json(config.input_path))
-    F = polymap_from_json(_load_json(poly_path))
+def _cmd_verify(args) -> dict:
+    V = subspace_from_json(_load_json(args.input))
+    F = polymap_from_json(_load_json(args.poly))
     if (F.n, F.m) != (V.n, V.m):
         raise ValueError("polynomial and subspace dimensions disagree")
     report = verify_membership(
-        F, V, samples=config.samples, radius=config.radius,
-        tol=config.tol, seed=config.seed,
+        F, V, samples=args.samples, radius=args.radius, tol=args.tol, seed=args.seed,
     )
     return report.to_json()
 
 
-def _cmd_jet(config: RunConfig, matrix_path: str) -> dict:
-    v_aug = augmented_from_json(_load_json(config.input_path))
-    A = np.asarray(_load_json(matrix_path), dtype=float)
-    report = augmented_jet_space(v_aug, A, config.degree)
+def _cmd_jet(args) -> dict:
+    v_aug = augmented_from_json(_load_json(args.input))
+    A = np.asarray(_load_json(args.matrix), dtype=float)
+    report = augmented_jet_space(v_aug, A, args.degree)
     return report.to_json()
+
+
+# --- options: each declared once, with its one default ---------------------
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+class Option(NamedTuple):
+    """One option of a subcommand.
+
+    ``dest`` names the value on the parsed arguments and, when ``report``
+    holds, in the report's config block.  A ``flag`` of None runs the
+    subcommand at the default without offering a flag.
+    """
+
+    flag: str | None
+    dest: str
+    kwargs: dict
+    report: bool = True
+
+
+def _fixed(option: Option) -> Option:
+    return option._replace(flag=None)
+
+
+INPUT = Option("--input", "input", dict(required=True, help="subspace file"))
+KMAX = Option("--kmax", "k_max", dict(type=_count, default=8))
+SEED = Option("--seed", "seed", dict(type=int, default=0))
+RESTARTS = Option("--restarts", "restarts", dict(type=_count, default=64))
+COMMON = (
+    Option("--out", "out", dict(default=None, help="write the report to this path"),
+           report=False),
+    Option("--format", "format", dict(choices=("json", "table"), default="json")),
+)
+
+# subcommand -> (handler, help, options besides COMMON)
+SUBCOMMANDS = {
+    "chain": (_cmd_chain, "prolongation chain of a subspace file", (INPUT, KMAX)),
+    "detect": (_cmd_detect, "search for obstruction witnesses", (INPUT, SEED, RESTARTS)),
+    "classify": (_cmd_classify, "chain plus certified classification",
+                 (INPUT, KMAX, SEED, _fixed(RESTARTS))),
+    "polysolve": (_cmd_polysolve, "polynomial solution basis", (INPUT, KMAX)),
+    "manifold": (_cmd_manifold, "sampled analysis of a builtin family", (
+        Option("--family", "family", dict(
+            required=True, choices=("conformal", "isometry", "quaternion", "holomorphic"))),
+        Option("--dim", "dim", dict(type=int, required=True)),
+        Option("--samples", "samples", dict(type=_count, default=20)),
+        Option("--emit-tangent", "emit_tangent", dict(
+            action="store_true",
+            help="write the base-point tangent space as a subspace file"), report=False),
+        KMAX, SEED, _fixed(RESTARTS),
+    )),
+    "verify": (_cmd_verify, "sampled Jacobian membership check", (
+        INPUT,
+        Option("--poly", "poly", dict(required=True, help="polynomial file"), report=False),
+        Option("--samples", "samples", dict(type=_count, default=100)),
+        Option("--radius", "radius", dict(type=_positive, default=1.0)),
+        Option("--tol", "tol", dict(type=_positive, default=1e-9)),
+        SEED,
+    )),
+    "jet": (_cmd_jet, "truncated jet space through a first-order part", (
+        Option("--input-augmented", "input", dict(required=True)),
+        Option("--matrix", "matrix", dict(required=True), report=False),
+        Option("--degree", "degree", dict(type=_count, default=6)),
+    )),
+}
+
+
+def _options(subcommand: str) -> tuple:
+    return SUBCOMMANDS[subcommand][2] + COMMON
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,57 +271,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "solution spaces for linear Jacobian constraints.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, *, kmax=False, seed=False, restarts=False):
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        if kmax:
-            p.add_argument("--kmax", type=int, default=8)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if restarts:
-            p.add_argument("--restarts", type=int, default=64)
-
-    p = sub.add_parser("chain", help="prolongation chain of a subspace file")
-    p.add_argument("--input", required=True)
-    common(p, kmax=True)
-
-    p = sub.add_parser("detect", help="search for obstruction witnesses")
-    p.add_argument("--input", required=True)
-    common(p, seed=True, restarts=True)
-
-    p = sub.add_parser("classify", help="chain plus certified classification")
-    p.add_argument("--input", required=True)
-    common(p, kmax=True, seed=True)
-
-    p = sub.add_parser("polysolve", help="polynomial solution basis")
-    p.add_argument("--input", required=True)
-    common(p, kmax=True)
-
-    p = sub.add_parser("manifold", help="sampled analysis of a builtin family")
-    p.add_argument("--family", required=True,
-                   choices=("conformal", "isometry", "quaternion", "holomorphic"))
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--emit-tangent", action="store_true",
-                   help="write the base-point tangent space as a subspace file")
-    common(p, kmax=True, seed=True)
-
-    p = sub.add_parser("verify", help="sampled Jacobian membership check")
-    p.add_argument("--input", required=True, help="subspace file")
-    p.add_argument("--poly", required=True, help="polynomial file")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p, seed=True)
-
-    p = sub.add_parser("jet", help="truncated jet space through a first-order part")
-    p.add_argument("--input-augmented", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--degree", type=int, default=6)
-    common(p)
-
+    for name, (_, help_text, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in _options(name):
+            if option.flag is None:
+                p.set_defaults(**{option.dest: option.kwargs["default"]})
+            else:
+                p.add_argument(option.flag, dest=option.dest, **option.kwargs)
     return parser
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """The config block of a report: the options the subcommand consumes."""
+    config = {"subcommand": args.subcommand, "tolerances": TOLERANCES.to_dict()}
+    for option in _options(args.subcommand):
+        if option.report:
+            config[option.dest] = getattr(args, option.dest)
+    return config
 
 
 def main(argv=None) -> int:
@@ -289,47 +296,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    handler = SUBCOMMANDS[args.subcommand][0]
     try:
-        config = RunConfig(
-            subcommand=args.subcommand,
-            input_path=getattr(args, "input", None) or getattr(args, "input_augmented", None),
-            k_max=getattr(args, "kmax", 8),
-            seed=getattr(args, "seed", 0),
-            restarts=getattr(args, "restarts", 64),
-            out=args.out,
-            format=args.format,
-            samples=getattr(args, "samples", 100),
-            radius=getattr(args, "radius", 1.0),
-            tol=getattr(args, "tol", 1e-9),
-            degree=getattr(args, "degree", 6),
-            family=getattr(args, "family", None),
-            dim=getattr(args, "dim", None),
-        )
-        bare = False
-        if args.subcommand == "chain":
-            report = _cmd_chain(config)
-        elif args.subcommand == "detect":
-            report = _cmd_detect(config)
-        elif args.subcommand == "classify":
-            report = _cmd_classify(config)
-        elif args.subcommand == "polysolve":
-            report = _cmd_polysolve(config)
-        elif args.subcommand == "manifold":
-            bare = args.emit_tangent
-            report = _cmd_manifold(config, args.emit_tangent)
-        elif args.subcommand == "verify":
-            report = _cmd_verify(config, args.poly)
-        elif args.subcommand == "jet":
-            report = _cmd_jet(config, args.matrix)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown subcommand {args.subcommand!r}")
+        report = handler(args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    _emit(report, config, bare=bare)
+    bare = args.subcommand == "manifold" and args.emit_tangent
+    _emit(report, None if bare else _config(args), args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES
 from .matspace import (
     MatrixSubspace,
     make_subspace,
@@ -65,7 +65,7 @@ def _symmetric_basis(n: int, trace_free: bool) -> list:
         from .matspace import _gram_schmidt
 
         eye = np.eye(n).ravel() / np.sqrt(n)
-        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], 1e-12)
+        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], TOLERANCES.symmetric_drop)
         out.extend(v.reshape(n, n) for v in vecs[1:])
     else:
         out.extend(diag)
@@ -210,20 +210,19 @@ def _fd_jacobian(family: ConstraintFamily, A: np.ndarray, x, step: float) -> np.
     return out
 
 
-def tangent_space(family: ConstraintFamily, A, x=None,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixSubspace:
+def tangent_space(family: ConstraintFamily, A, x=None) -> MatrixSubspace:
     """Kernel of the defining function's derivative at an admissible A."""
     A = np.asarray(A, dtype=float)
     if A.shape != (family.m, family.n):
         raise ValueError("point has the wrong shape")
     res = family.residual(A, x)
-    if np.linalg.norm(res) > tol.on_manifold:
+    if np.linalg.norm(res) > TOLERANCES.on_manifold:
         raise ValueError("the point does not lie on the constraint set")
     if family.jacobian_fn is not None:
         J = np.asarray(family.jacobian_fn(x if x is not None else np.zeros(family.n), A))
     else:
-        J = _fd_jacobian(family, A, x, tol.manifold_fd_step)
-    rows = nullspace_rows(J, tol)
+        J = _fd_jacobian(family, A, x, TOLERANCES.manifold_fd_step)
+    rows = nullspace_rows(J)
     if rows.shape[0] != family.manifold_dim:
         raise DegeneratePointError(
             f"tangent dimension {rows.shape[0]} at this point, expected {family.manifold_dim}"
@@ -259,8 +258,7 @@ class ManifoldReport:
 
 
 def sample_analysis(family: ConstraintFamily, sample_count: int = 20,
-                    k_max: int = 8, seed: int = 0, restarts: int = 64,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> ManifoldReport:
+                    k_max: int = 8, seed: int = 0, restarts: int = 64) -> ManifoldReport:
     """Chain invariants on sampled tangent spaces, with constancy verdict.
 
     Non-terminating chains are escalated to the obstruction detectors so an
@@ -274,14 +272,13 @@ def sample_analysis(family: ConstraintFamily, sample_count: int = 20,
     for i in range(sample_count):
         rng = np.random.default_rng([seed, i])
         A = family.sample(rng)
-        Vt = tangent_space(family, A, tol=tol)
-        report = chain(Vt, k_max, tol)
+        Vt = tangent_space(family, A)
+        report = chain(Vt, k_max)
         if report.delta.status == "finite":
             statuses.append(report.delta)
         else:
             outcome = classify_delta_full(
-                Vt, k_max, seed=1_000_003 * seed + i, restarts=restarts,
-                tol=tol, report=report,
+                Vt, k_max, seed=1_000_003 * seed + i, restarts=restarts, report=report,
             )
             statuses.append(outcome.delta)
         alphas.append(tuple(report.alpha))
@@ -323,8 +320,7 @@ class AugmentedSubspace:
         return self.basis[row, self.m * self.n:]
 
 
-def make_augmented(n: int, m: int, pairs,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> AugmentedSubspace:
+def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
     """Augmented subspace spanned by (matrix, vector) generator pairs."""
     from .matspace import _gram_schmidt
 
@@ -335,7 +331,7 @@ def make_augmented(n: int, m: int, pairs,
         if mat.shape != (m, n) or vec.shape != (m,):
             raise ValueError("generator pair has wrong shapes")
         vecs.append(np.concatenate([mat.ravel(), vec]))
-    basis = _gram_schmidt(vecs, tol.gram_schmidt_drop)
+    basis = _gram_schmidt(vecs, TOLERANCES.gram_schmidt_drop)
     if not basis:
         return AugmentedSubspace(n, m, np.zeros((0, m * n + m)))
     return AugmentedSubspace(n, m, np.array(basis))
@@ -373,8 +369,7 @@ class JetReport:
         return out
 
 
-def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> JetReport:
+def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     """Polynomial maps u of degree <= D with u(0) = 0, Du(0) = A and
     (Du(xi), u(xi)) in the augmented subspace for every xi.
 
@@ -459,14 +454,15 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int,
     G = np.vstack(rows)
     b = np.concatenate(rhs)
     if total == 0:
-        if np.linalg.norm(b) > tol.jet_consistency:
+        if np.linalg.norm(b) > TOLERANCES.jet_consistency:
             return JetReport(degree=D, dimension=0, empty=True)
         return JetReport(degree=D, dimension=0, empty=False, basis=[],
                          particular=PolyMap(n, m, {1: HomPoly(n, m, 1, A.copy())}))
     particular, *_ = np.linalg.lstsq(G, b, rcond=None)
-    if np.linalg.norm(G @ particular - b) > tol.jet_consistency * max(1.0, np.linalg.norm(b)):
+    slack = TOLERANCES.jet_consistency * max(1.0, np.linalg.norm(b))
+    if np.linalg.norm(G @ particular - b) > slack:
         return JetReport(degree=D, dimension=0, empty=True)
-    null_rows = nullspace_rows(G, tol)
+    null_rows = nullspace_rows(G)
 
     def to_polymap(vec, include_linear):
         comps = {}

@@ -10,32 +10,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES
 
 
-def rank_from_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def rank_from_singular_values(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol.rank_rel * max(1.0, float(s[0]))))
+    return int(np.sum(s > TOLERANCES.rank_rel * max(1.0, float(s[0]))))
 
 
-def nullspace_rows(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def nullspace_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {x : A x = 0}; shape (dim_null, A.shape[1])."""
     A = np.asarray(A, dtype=float)
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = rank_from_singular_values(s, tol)
+    rank = rank_from_singular_values(s)
     return vh[rank:]
 
 
-def row_complement(B: np.ndarray, width: int | None = None,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def row_complement(B: np.ndarray, width: int | None = None) -> np.ndarray:
     """Orthonormal rows spanning the orthogonal complement of the row span of B."""
     B = np.asarray(B, dtype=float)
     if B.shape[0] == 0:
         return np.eye(width if width is not None else B.shape[1])
-    return nullspace_rows(B, tol)
+    return nullspace_rows(B)
 
 
 def principal_angles_rows(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
@@ -96,14 +95,13 @@ def _gram_schmidt(vectors, drop_tol):
     return basis
 
 
-def make_subspace(n: int, m: int, generators,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixSubspace:
+def make_subspace(n: int, m: int, generators) -> MatrixSubspace:
     """Span of the generators with near-dependent generators dropped."""
     gens = [np.asarray(g, dtype=float) for g in generators]
     for g in gens:
         if g.shape != (m, n):
             raise ValueError(f"generator has shape {g.shape}, expected {(m, n)}")
-    basis = _gram_schmidt(gens, tol.gram_schmidt_drop)
+    basis = _gram_schmidt(gens, TOLERANCES.gram_schmidt_drop)
     if not basis:
         return MatrixSubspace(n, m, np.zeros((0, m, n)))
     return MatrixSubspace(n, m, np.array(basis).reshape(-1, m, n))
@@ -125,8 +123,7 @@ def distance(A, V: MatrixSubspace) -> float:
     return float(np.linalg.norm(A - project(A, V)))
 
 
-def conjugate(V: MatrixSubspace, P, Q,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixSubspace:
+def conjugate(V: MatrixSubspace, P, Q) -> MatrixSubspace:
     """Subspace {P B Q : B in V}, re-orthonormalized; rejects singular P, Q."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -134,9 +131,9 @@ def conjugate(V: MatrixSubspace, P, Q,
         raise ValueError("conjugating matrices have wrong shapes")
     for M in (P, Q):
         s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
+        if s[-1] <= TOLERANCES.singular_rel * s[0]:
             raise ValueError("conjugating matrix is singular or near-singular")
-    return make_subspace(V.n, V.m, [P @ B @ Q for B in V.basis], tol)
+    return make_subspace(V.n, V.m, [P @ B @ Q for B in V.basis])
 
 
 def max_principal_angle(V1: MatrixSubspace, V2: MatrixSubspace) -> float:
@@ -148,7 +145,7 @@ def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace,
                     angle_tol: float | None = None) -> bool:
     """Equality up to the principal-angle tolerance (basis independent)."""
     if angle_tol is None:
-        angle_tol = DEFAULT_TOLERANCES.subspace_angle
+        angle_tol = TOLERANCES.subspace_angle
     if (V1.n, V1.m) != (V2.n, V2.m) or V1.dim != V2.dim:
         return False
     if V1.dim == 0:
@@ -168,7 +165,7 @@ def subspace_to_json(V: MatrixSubspace) -> dict:
     }
 
 
-def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixSubspace:
+def subspace_from_json(data: dict) -> MatrixSubspace:
     n, m = int(data["n"]), int(data["m"])
     gens = [np.asarray(g, dtype=float) for g in data.get("generators", [])]
-    return make_subspace(n, m, gens, tol)
+    return make_subspace(n, m, gens)

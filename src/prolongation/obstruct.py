@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOLERANCES
 from .matspace import (
     MatrixSubspace,
     distance,
@@ -105,8 +105,7 @@ def _rank_one_polish(V: MatrixSubspace, X: np.ndarray, iters: int = 120):
     return X
 
 
-def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64,
-                  tol: Tolerances = DEFAULT_TOLERANCES):
+def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for a rank-one element; return a certified witness or None.
 
     Multi-start simplex descent on sigma_2/sigma_1 of unit combinations of
@@ -118,7 +117,7 @@ def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64,
     if min(V.m, V.n) < 2:
         # a nonzero row or column matrix is already rank one
         witness = _extract_rank_one(V, V.basis[0])
-        return witness if verify_rank_one(V, witness, tol) else None
+        return witness if verify_rank_one(V, witness) else None
 
     def objective(c):
         norm = np.linalg.norm(c)
@@ -147,10 +146,10 @@ def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64,
         if ratio < best_ratio:
             best_ratio = ratio
             best_matrix = X
-    if best_matrix is None or best_ratio >= tol.rank_one_ratio:
+    if best_matrix is None or best_ratio >= TOLERANCES.rank_one_ratio:
         return None
     witness = _extract_rank_one(V, best_matrix)
-    return witness if verify_rank_one(V, witness, tol) else None
+    return witness if verify_rank_one(V, witness) else None
 
 
 def _extract_rank_one(V: MatrixSubspace, X: np.ndarray) -> RankOneWitness:
@@ -163,15 +162,14 @@ def _extract_rank_one(V: MatrixSubspace, X: np.ndarray) -> RankOneWitness:
     return RankOneWitness(psi=psi, w=w, residual=distance(np.outer(w, psi), V))
 
 
-def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness) -> bool:
     """Certificate check: unit Frobenius norm and membership distance."""
     mat = witness.matrix()
     norm = np.linalg.norm(mat)
-    if abs(norm - 1.0) > tol.orthonormality:
+    if abs(norm - 1.0) > TOLERANCES.orthonormality:
         return False
     witness.residual = distance(mat, V)
-    return witness.residual <= tol.rank_one_residual
+    return witness.residual <= TOLERANCES.rank_one_residual
 
 
 # --- embedded complex-structure plane detector -----------------------------
@@ -242,8 +240,7 @@ def _pair_polish(V: MatrixSubspace, A, B, rounds: int = 50):
     return A / scale, B_star / scale
 
 
-def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64,
-                      tol: Tolerances = DEFAULT_TOLERANCES):
+def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for an embedded plane equivalent to the reference one.
 
     Multi-start simplex descent over pairs of unit coefficient vectors on
@@ -280,7 +277,7 @@ def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64,
         if polished is None:
             continue
         witness = ComplexPairWitness(A=polished[0], B=polished[1])
-        if verify_complex_pair(V, witness, tol):
+        if verify_complex_pair(V, witness):
             penalty = sum(witness.residuals[k] ** 2 for k in
                           ("rank_a", "rank_b", "colspace_gap", "rowspace_gap",
                            "complex_structure"))
@@ -294,8 +291,7 @@ def _extend_to_invertible(columns: np.ndarray, complement: np.ndarray) -> np.nda
     return np.hstack([columns, complement])
 
 
-def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     """Check the certificate and reconstruct explicit conjugating matrices.
 
     Conditions: both matrices have numerical rank two, share column and row
@@ -307,6 +303,7 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness,
     A = np.asarray(witness.A, dtype=float)
     B = np.asarray(witness.B, dtype=float)
     m, n = A.shape
+    tol = TOLERANCES
     residuals: dict = {}
     ua, sa, vta = np.linalg.svd(A)
     ub, sb, vtb = np.linalg.svd(B)
@@ -345,7 +342,7 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness,
     # complement] satisfy P * I_pad * Q = A and P * J_pad * Q = B.
     s1 = np.array([1.0, 0.0])
     S = np.column_stack([s1, C @ s1])
-    if abs(np.linalg.det(S)) < 1e-10:
+    if abs(np.linalg.det(S)) < tol.quarter_turn_det:
         return False
     P = _extend_to_invertible(Ua @ S, ua[:, 2:])
     Q = np.vstack([np.linalg.solve(S, A_t) @ Va.T, vta[2:]])
@@ -378,8 +375,22 @@ class ClassifyOutcome:
         }
 
 
+def find_witnesses(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
+    """Run every detector that applies to V: rank-one when dim V >= 1, the
+    complex pair when also dim V >= 2 and m, n >= 2.
+
+    Returns ``(rank_one, complex_pair)``; an entry is None when its search
+    does not apply or certified nothing.
+    """
+    rank_one = find_rank_one(V, seed, restarts) if V.dim >= 1 else None
+    complex_pair = None
+    if V.dim >= 2 and V.m >= 2 and V.n >= 2:
+        complex_pair = find_complex_pair(V, seed, restarts)
+    return rank_one, complex_pair
+
+
 def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
-                        restarts: int = 64, tol: Tolerances = DEFAULT_TOLERANCES,
+                        restarts: int = 64,
                         report: ChainReport | None = None) -> ClassifyOutcome:
     """Chain first, then both detectors; certified witnesses decide infinity.
 
@@ -390,11 +401,8 @@ def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
     outcome of the other search is still recorded.
     """
     if report is None:
-        report = chain(V, k_max, tol)
-    rank_one = find_rank_one(V, seed, restarts, tol) if V.dim >= 1 else None
-    complex_pair = None
-    if V.dim >= 2 and V.m >= 2 and V.n >= 2:
-        complex_pair = find_complex_pair(V, seed, restarts, tol)
+        report = chain(V, k_max)
+    rank_one, complex_pair = find_witnesses(V, seed, restarts)
     witness = rank_one if rank_one is not None else complex_pair
     if report.delta.status == "finite":
         if witness is not None:
@@ -412,7 +420,7 @@ def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
 
 
 def classify_delta(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
-                   restarts: int = 64, tol: Tolerances = DEFAULT_TOLERANCES,
+                   restarts: int = 64,
                    report: ChainReport | None = None) -> DeltaStatus:
     """Classify the chain length of V; see :func:`classify_delta_full`."""
-    return classify_delta_full(V, k_max, seed, restarts, tol, report).delta
+    return classify_delta_full(V, k_max, seed, restarts, report).delta

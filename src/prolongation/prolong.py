@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .matspace import MatrixSubspace, distance, nullspace_rows, row_complement
 from .symtensor import (
     HomPoly,
@@ -36,7 +35,7 @@ class HomSolutionSpace:
     """Space of admissible homogeneous maps of one degree.
 
     ``basis`` elements are orthonormal in coefficient space; every element
-    has all its slot matrices within ``membership`` distance of V.
+    has all its slot matrices in V up to the nullspace rank decisions.
     """
 
     degree: int
@@ -133,8 +132,7 @@ def _linear_space_from_subspace(V: MatrixSubspace) -> HomSolutionSpace:
     return HomSolutionSpace(1, V.n, V.m, basis)
 
 
-def mk_direct(V: MatrixSubspace, k: int,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> HomSolutionSpace:
+def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     """Degree-k space from the full slot-membership linear system.
 
     Nullspace of the map sending a degree-k coefficient vector to the
@@ -146,7 +144,7 @@ def mk_direct(V: MatrixSubspace, k: int,
         raise ValueError("degree must be >= 0")
     if k == 0:
         return constants_space(n, m)
-    perp = row_complement(V.flat, width=m * n, tol=tol)  # (q, m*n)
+    perp = row_complement(V.flat, width=m * n)  # (q, m*n)
     if perp.shape[0] == 0:
         # V is the whole matrix space: every polynomial qualifies
         return _space_from_rows(np.eye(hom_dim(n, m, k)), n, m, k)
@@ -167,11 +165,10 @@ def mk_direct(V: MatrixSubspace, k: int,
         rows = np.einsum("raj,jc->rac", perp3, pattern).reshape(perp.shape[0], m * num_mono)
         blocks.append(rows)
     system = np.vstack(blocks)
-    return _space_from_rows(nullspace_rows(system, tol), n, m, k)
+    return _space_from_rows(nullspace_rows(system), n, m, k)
 
 
-def mk_step(V: MatrixSubspace, prev: HomSolutionSpace,
-            tol: Tolerances = DEFAULT_TOLERANCES) -> HomSolutionSpace:
+def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     """One recursion step: degree k maps whose partials lie in ``prev``.
 
     The recursion only characterizes degrees >= 2; from the constants it
@@ -188,7 +185,7 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace,
         # derivatives of a nonzero homogeneous map cannot all vanish
         return HomSolutionSpace(k, n, m, [])
     span = prev.coeff_matrix()
-    perp = row_complement(span, tol=tol)  # complement inside degree-(k-1) coefficients
+    perp = row_complement(span)  # complement inside degree-(k-1) coefficients
     if perp.shape[0] == 0:
         return _space_from_rows(np.eye(hom_dim(n, m, k)), n, m, k)
     num_lower = comb(n + k - 2, k - 1)
@@ -201,11 +198,10 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace,
             big[a * num_lower:(a + 1) * num_lower, a * num_mono:(a + 1) * num_mono] = op
         blocks.append(perp @ big)
     system = np.vstack(blocks)
-    return _space_from_rows(nullspace_rows(system, tol), n, m, k)
+    return _space_from_rows(nullspace_rows(system), n, m, k)
 
 
-def chain(V: MatrixSubspace, k_max: int = 8,
-          tol: Tolerances = DEFAULT_TOLERANCES) -> ChainReport:
+def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:
     """Run the recursion until the chain dies or ``k_max`` is reached.
 
     Reports a lower bound rather than guessing infinity: certification of
@@ -218,7 +214,7 @@ def chain(V: MatrixSubspace, k_max: int = 8,
     alpha = [V.m]
     delta = None
     for k in range(1, k_max + 1):
-        nxt = mk_step(V, spaces[-1], tol)
+        nxt = mk_step(V, spaces[-1])
         spaces.append(nxt)
         alpha.append(nxt.dim)
         if nxt.dim == 0:

@@ -167,7 +167,7 @@ def test_reports_embed_the_configuration(conformal_file, tmp_path):
     main(["chain", "--input", str(conformal_file), "--kmax", "6", "--out", str(out)])
     config = json.loads(out.read_text())["config"]
     assert config["k_max"] == 6
-    assert config["seed"] == 0
+    assert "seed" not in config
     assert "rank_rel" in config["tolerances"]
     assert config["subcommand"] == "chain"
 
@@ -207,3 +207,117 @@ def test_internal_inconsistency_is_exit_two(conformal_file, monkeypatch, capsys)
     rc = main(["classify", "--input", str(conformal_file)])
     assert rc == 2
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+# --- the config block carries what each subcommand consumes ------------------
+
+COMMON_KEYS = {"subcommand", "format", "tolerances"}
+
+
+@pytest.fixture
+def cli_files(tmp_path, conformal_file):
+    from prolongation.manifolds import augment_with_full_range, augmented_to_json
+
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"n": 2, "m": 2, "generators": [np.eye(2).tolist()]}))
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps({"n": 3, "m": 3, "terms": [
+        {"degree": 1, "output": a + 1, "exponents": [int(j == a) for j in range(3)],
+         "value": 1.0} for a in range(3)]}))
+    aug = tmp_path / "aug.json"
+    aug.write_text(json.dumps(augmented_to_json(augment_with_full_range(conformal_subspace(3)))))
+    matrix = tmp_path / "A.json"
+    matrix.write_text(json.dumps(np.eye(3).tolist()))
+    return {"conformal": str(conformal_file), "line": str(line), "member": str(member),
+            "aug": str(aug), "matrix": str(matrix)}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["chain", "--input", "{conformal}"], {"input", "k_max"}),
+    (["detect", "--input", "{line}", "--restarts", "2"], {"input", "seed", "restarts"}),
+    (["classify", "--input", "{line}", "--kmax", "3"], {"input", "k_max", "seed", "restarts"}),
+    (["polysolve", "--input", "{conformal}"], {"input", "k_max"}),
+    (["manifold", "--family", "isometry", "--dim", "2", "--samples", "2", "--kmax", "3"],
+     {"family", "dim", "samples", "k_max", "seed", "restarts"}),
+    (["verify", "--input", "{conformal}", "--poly", "{member}", "--samples", "3"],
+     {"input", "samples", "radius", "tol", "seed"}),
+    (["jet", "--input-augmented", "{aug}", "--matrix", "{matrix}", "--degree", "2"],
+     {"input", "degree"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_config_block_holds_only_the_consumed_options(cli_files, tmp_path, argv, keys):
+    out = tmp_path / "report.json"
+    assert main([a.format(**cli_files) for a in argv] + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == COMMON_KEYS | keys
+    assert "membership" not in config["tolerances"]
+    if "restarts" in keys:
+        assert config["restarts"] == (2 if argv[0] == "detect" else 64)
+
+
+def test_fixed_restarts_take_no_flag(cli_files):
+    assert main(["classify", "--input", cli_files["line"], "--restarts", "2"]) == 1
+
+
+# --- verify never passes vacuously ------------------------------------------
+
+@pytest.fixture
+def square_on_identity(tmp_path):
+    """x -> (x1^2, 0) against span{I}; fails membership wherever x1 != 0."""
+    space = tmp_path / "identity.json"
+    space.write_text(json.dumps({"n": 2, "m": 2, "generators": [np.eye(2).tolist()]}))
+
+    def poly(value):
+        path = tmp_path / "square.json"
+        path.write_text('{"n": 2, "m": 2, "terms": [{"degree": 2, "output": 1, '
+                        f'"exponents": [2, 0], "value": {value}}}]}}')
+        return ["verify", "--input", str(space), "--poly", str(path)]
+    return poly
+
+
+def test_verify_rejects_zero_samples(square_on_identity):
+    assert main(square_on_identity("1.0") + ["--samples", "0"]) == 1
+
+
+def test_verify_rejects_zero_radius(square_on_identity):
+    assert main(square_on_identity("1.0") + ["--radius", "0"]) == 1
+
+
+def test_verify_rejects_a_nan_coefficient(square_on_identity):
+    assert main(square_on_identity("NaN")) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_verify_fails_when_the_jacobian_overflows(square_on_identity, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(square_on_identity("1e308") + ["--out", str(out)]) == 0
+    assert read_result(out)["pass"] is False
+
+
+# --- every JSON input rejects numbers that are not finite floats -------------
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "-inf", "overflow", "huge-int"])
+@pytest.mark.parametrize("kind", ["subspace", "polynomial", "matrix", "augmented"])
+def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
+    """One entry of a valid file (the only 0.25 in it) is replaced by the literal."""
+    space = {"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, 0.25]]]}
+    poly = {"n": 2, "m": 2, "terms": [
+        {"degree": 1, "output": 1, "exponents": [1, 0], "value": 0.25}]}
+    aug = {"n": 2, "m": 2, "generators": [{"matrix": np.eye(2).tolist(), "vector": [0.25, 0.0]}]}
+    matrix = [[1.0, 0.0], [0.0, 0.25]]
+    files = {"subspace": space, "polynomial": poly, "matrix": matrix, "augmented": aug}
+    paths = {}
+    for name, data in files.items():
+        text = json.dumps(data)
+        if name == kind:
+            assert text.count("0.25") == 1
+            text = text.replace("0.25", literal)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    if kind in ("subspace", "polynomial"):
+        argv = ["verify", "--input", str(paths["subspace"]), "--poly", str(paths["polynomial"])]
+    else:
+        argv = ["jet", "--input-augmented", str(paths["augmented"]),
+                "--matrix", str(paths["matrix"]), "--degree", "2"]
+    assert main(argv) == 1
+    assert "invalid input" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from prolongation.obstruct import (
     complex_structure_plane,
     find_complex_pair,
     find_rank_one,
+    find_witnesses,
     verify_complex_pair,
     verify_rank_one,
 )
@@ -105,6 +106,16 @@ def test_find_complex_pair_rejects_small_inputs(rng):
         find_complex_pair(random_subspace(rng, 3, 3, 1), seed=0, restarts=1)
     with pytest.raises(ValueError):
         find_complex_pair(random_subspace(rng, 1, 3, 2), seed=0, restarts=1)
+
+
+def test_find_witnesses_runs_only_the_detectors_that_apply(rng):
+    # dim 0: neither search applies; n = 1: the complex-pair search would raise
+    assert find_witnesses(make_subspace(3, 3, []), seed=0, restarts=1) == (None, None)
+    columns = random_subspace(rng, 1, 3, 2)
+    rank_one, complex_pair = find_witnesses(columns, seed=0, restarts=1)
+    assert rank_one is not None and complex_pair is None
+    rank_one, complex_pair = find_witnesses(complex_structure_plane(3, 3), seed=4, restarts=8)
+    assert rank_one is None and complex_pair is not None
 
 
 def pad(M, m, n):

@@ -134,6 +134,20 @@ def test_verify_membership_rejects_bad_tolerance():
         verify_membership(PolyMap(3, 3, {0: HomPoly.zero(3, 3, 0)}), V, tol=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"radius": 0.0}, {"radius": np.nan}])
+def test_verify_membership_rejects_vacuous_sampling(kwargs):
+    V = skew_subspace(3)
+    with pytest.raises(ValueError):
+        verify_membership(PolyMap(3, 3, {0: HomPoly.zero(3, 3, 0)}), V, **kwargs)
+
+
+def test_verify_membership_fails_on_a_non_finite_residual():
+    V = make_subspace(2, 2, [np.eye(2)])
+    report = verify_membership(lambda x: np.full(2, np.nan), V, samples=5)
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+
+
 def test_verify_membership_accepts_callables(rng):
     V = conformal_subspace(3)
     basis = solution_basis(V, chain(V, 8))
