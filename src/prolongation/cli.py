@@ -66,7 +66,8 @@ def _emit(report: dict, config: dict | None, out: str | None) -> None:
     if config is not None and config["format"] == "table":
         text = _render_table(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # strict JSON: a NaN or Infinity raises ValueError instead of being written
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -297,16 +298,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler = SUBCOMMANDS[args.subcommand][0]
+    bare = args.subcommand == "manifold" and args.emit_tangent
     try:
-        report = handler(args)
+        _emit(handler(args), None if bare else _config(args), args.out)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    bare = args.subcommand == "manifold" and args.emit_tangent
-    _emit(report, None if bare else _config(args), args.out)
     return 0
 
 

@@ -23,7 +23,7 @@ from .matspace import (
 )
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import DeltaStatus, chain
-from .symtensor import HomPoly, PolyMap, derivative_op, hom_dim, monomial_basis
+from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian
 
 
 class DegeneratePointError(ValueError):
@@ -108,7 +108,7 @@ def quaternion_right_multiplications() -> MatrixSubspace:
 
 def linear_family(V: MatrixSubspace, name: str = "custom-linear") -> ConstraintFamily:
     """Family whose constraint set is the subspace V itself."""
-    perp = row_complement(V.flat, width=V.m * V.n)
+    perp = row_complement(V.flat)
 
     def defining(x, A):
         return perp @ A.ravel()
@@ -196,20 +196,6 @@ def builtin_family(name: str, n: int, subspace: MatrixSubspace | None = None) ->
     raise ValueError(f"unknown family {name!r}")
 
 
-def _fd_jacobian(family: ConstraintFamily, A: np.ndarray, x, step: float) -> np.ndarray:
-    m, n = family.m, family.n
-    r = family.residual(A, x).shape[0]
-    out = np.zeros((r, m * n))
-    flatA = A.ravel()
-    for idx in range(m * n):
-        h = np.zeros(m * n)
-        h[idx] = step
-        plus = family.residual((flatA + h).reshape(m, n), x)
-        minus = family.residual((flatA - h).reshape(m, n), x)
-        out[:, idx] = (plus - minus) / (2 * step)
-    return out
-
-
 def tangent_space(family: ConstraintFamily, A, x=None) -> MatrixSubspace:
     """Kernel of the defining function's derivative at an admissible A."""
     A = np.asarray(A, dtype=float)
@@ -221,7 +207,8 @@ def tangent_space(family: ConstraintFamily, A, x=None) -> MatrixSubspace:
     if family.jacobian_fn is not None:
         J = np.asarray(family.jacobian_fn(x if x is not None else np.zeros(family.n), A))
     else:
-        J = _fd_jacobian(family, A, x, TOLERANCES.manifold_fd_step)
+        J = fd_jacobian(lambda a: family.residual(a.reshape(A.shape), x), A.ravel(),
+                        TOLERANCES.manifold_fd_step)
     rows = nullspace_rows(J)
     if rows.shape[0] != family.manifold_dim:
         raise DegeneratePointError(
@@ -373,10 +360,12 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     """Polynomial maps u of degree <= D with u(0) = 0, Du(0) = A and
     (Du(xi), u(xi)) in the augmented subspace for every xi.
 
-    The identity in xi is split degree by degree, coupling consecutive
-    homogeneous components into one linear system; the report carries the
-    dimension of the solution set's linear part and a basis, or ``empty``
-    when the affine constraints are inconsistent.
+    Write u = u_1 + ... + u_D with u_j homogeneous of degree j.  The
+    xi-degree-d part of the identity couples only Du_{d+1} and u_d, so the
+    system is block-bidiagonal in d, built from the derivative operators.
+    u_1 = A is known and moves to the right-hand side.  The report carries
+    the dimension of the solution set's linear part and a basis, or
+    ``empty`` when the affine constraints are inconsistent.
     """
     n, m = v_aug.n, v_aug.m
     if D < 1:
@@ -384,117 +373,52 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     A = np.asarray(A, dtype=float)
     if A.shape != (m, n):
         raise ValueError("first-order part has the wrong shape")
-    perp = row_complement(v_aug.basis, width=m * n + m)
-    if perp.shape[0] == 0:
-        dim_free = sum(hom_dim(n, m, j) for j in range(2, D + 1))
-        basis = _unit_jet_basis(n, m, D)
-        return JetReport(degree=D, dimension=dim_free, empty=False, basis=basis,
-                         particular=PolyMap(n, m, {1: HomPoly(n, m, 1, A.copy())}))
-    perp_mat = perp[:, : m * n].reshape(-1, m, n)   # matrix-part components
-    perp_vec = perp[:, m * n:]                      # vector-part components
+    perp = row_complement(v_aug.basis)
     q = perp.shape[0]
+    perp_mat = perp[:, : m * n].reshape(q, m, n)   # matrix-part components
+    perp_vec = perp[:, m * n:]                      # vector-part components
 
-    # unknowns: coefficients of degrees 2..D
-    widths = {j: hom_dim(n, m, j) for j in range(1, D + 1)}
-    offsets = {}
-    total = 0
-    for j in range(2, D + 1):
-        offsets[j] = total
-        total += widths[j]
+    # u_1..u_D side by side; u_j has columns cols[j]:cols[j + 1]
+    num = [comb(n + d - 1, d) for d in range(D + 1)]  # monomials of degree d
+    cols = np.cumsum([0, 0] + [m * c for c in num[1:]])
+    blocks = []
+    for d in range(D + 1):
+        block = np.zeros((q * num[d], cols[-1]))
+        if d < D:  # Jacobian of u_{d+1}: perp_mat against every d_i
+            ops = np.stack([derivative_op(n, d + 1, i) for i in range(n)])
+            block[:, cols[d + 1]:cols[d + 2]] = np.einsum(
+                "rai,ilh->rlah", perp_mat, ops).reshape(q * num[d], m * num[d + 1])
+        if d > 0:  # value of u_d
+            block[:, cols[d]:cols[d + 1]] = np.kron(perp_vec, np.eye(num[d]))
+        blocks.append(block)
+    G = np.vstack(blocks)[:, m * n:]
+    # the known u_1 = A enters through its Jacobian at xi-degree 0 and its
+    # value at xi-degree 1
+    b = np.zeros(G.shape[0])
+    b[:q] = -(perp_mat.reshape(q, m * n) @ A.ravel())
+    b[q:q * (n + 1)] = [-(perp_vec[r] @ A[:, g]) for r in range(q) for g in range(n)]
 
-    rows, rhs = [], []
-
-    def hom_coeff_rows(k):
-        """Rows mapping degree-k coefficients to (row r, monomial gamma):
-        <Du_k(xi) coefficient of gamma, perp_mat[r]>."""
-        num_hi = comb(n + k - 1, k)
-        num_lo = comb(n + k - 2, k - 1)
-        block = np.zeros((q * num_lo, m * num_hi))
-        for i in range(n):
-            op = derivative_op(n, k, i)  # (num_lo, num_hi)
-            for r in range(q):
-                weights = perp_mat[r, :, i]  # over outputs a
-                for a in range(m):
-                    if weights[a] != 0.0:
-                        block[r * num_lo:(r + 1) * num_lo, a * num_hi:(a + 1) * num_hi] += (
-                            weights[a] * op
-                        )
-        return block, num_lo
-
-    # degree-0 component: (A, 0) must satisfy the constraints
-    feas = perp_mat.reshape(q, m * n) @ A.ravel()
-    rows.append(np.zeros((q, total)))
-    rhs.append(-feas)
-
-    for d in range(1, D + 1):
-        num_d = comb(n + d - 1, d)
-        block = np.zeros((q * num_d, total))
-        b = np.zeros(q * num_d)
-        # matrix part: Du_{d+1} contributes when d+1 <= D
-        if d + 1 <= D:
-            deriv_block, _ = hom_coeff_rows(d + 1)
-            block[:, offsets[d + 1]: offsets[d + 1] + widths[d + 1]] = deriv_block
-        # vector part: u_d contributes; u_1 = A is a fixed offset
-        if d == 1:
-            lin = HomPoly(n, m, 1, A)
-            for r in range(q):
-                for idx_g in range(num_d):
-                    b[r * num_d + idx_g] -= perp_vec[r] @ lin.coeffs[:, idx_g]
-        elif d >= 2:
-            num_dd = comb(n + d - 1, d)
-            for r in range(q):
-                for a in range(m):
-                    if perp_vec[r, a] != 0.0:
-                        for idx_g in range(num_dd):
-                            block[r * num_d + idx_g,
-                                  offsets[d] + a * num_dd + idx_g] += perp_vec[r, a]
-        rows.append(block)
-        rhs.append(b)
-
-    G = np.vstack(rows)
-    b = np.concatenate(rhs)
-    if total == 0:
-        if np.linalg.norm(b) > TOLERANCES.jet_consistency:
-            return JetReport(degree=D, dimension=0, empty=True)
-        return JetReport(degree=D, dimension=0, empty=False, basis=[],
-                         particular=PolyMap(n, m, {1: HomPoly(n, m, 1, A.copy())}))
     particular, *_ = np.linalg.lstsq(G, b, rcond=None)
     slack = TOLERANCES.jet_consistency * max(1.0, np.linalg.norm(b))
     if np.linalg.norm(G @ particular - b) > slack:
         return JetReport(degree=D, dimension=0, empty=True)
     null_rows = nullspace_rows(G)
 
-    def to_polymap(vec, include_linear):
+    def to_polymap(vec):
         comps = {}
-        if include_linear:
-            comps[1] = HomPoly(n, m, 1, A.copy())
-        for j in range(2, D + 1):
-            block = vec[offsets[j]: offsets[j] + widths[j]]
+        for j in range(1, D + 1):
+            block = vec[cols[j]:cols[j + 1]]
             if np.max(np.abs(block), initial=0.0) > 0.0:
                 comps[j] = HomPoly.from_coeff_vector(n, m, j, block)
-        if not comps:
-            comps[1] = HomPoly.zero(n, m, 1)
-        return PolyMap(n, m, comps)
+        return PolyMap(n, m, comps or {1: HomPoly.zero(n, m, 1)})
 
-    basis = [to_polymap(row, include_linear=False) for row in null_rows]
     return JetReport(
         degree=D,
         dimension=null_rows.shape[0],
         empty=False,
-        basis=basis,
-        particular=to_polymap(particular, include_linear=True),
+        basis=[to_polymap(np.concatenate([np.zeros(m * n), row])) for row in null_rows],
+        particular=to_polymap(np.concatenate([A.ravel(), particular])),
     )
-
-
-def _unit_jet_basis(n, m, D):
-    out = []
-    for j in range(2, D + 1):
-        width = hom_dim(n, m, j)
-        for idx in range(width):
-            vec = np.zeros(width)
-            vec[idx] = 1.0
-            out.append(PolyMap(n, m, {j: HomPoly.from_coeff_vector(n, m, j, vec)}))
-    return out
 
 
 # --- JSON forms -------------------------------------------------------------

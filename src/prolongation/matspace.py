@@ -29,11 +29,8 @@ def nullspace_rows(A: np.ndarray) -> np.ndarray:
     return vh[rank:]
 
 
-def row_complement(B: np.ndarray, width: int | None = None) -> np.ndarray:
+def row_complement(B: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the orthogonal complement of the row span of B."""
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] == 0:
-        return np.eye(width if width is not None else B.shape[1])
     return nullspace_rows(B)
 
 

@@ -6,6 +6,7 @@ with vanishing linear part, and checks membership of Jacobians numerically
 on sampled points.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .config import TOLERANCES
 from .matspace import MatrixSubspace, distance, nullspace_rows
 from .prolong import ChainReport
-from .symtensor import HomPoly, PolyMap, hom_dim, jacobian, polymap_to_json
+from .symtensor import HomPoly, PolyMap, fd_jacobian, hom_dim, jacobian, polymap_to_json
 
 
 @dataclass
@@ -96,7 +97,8 @@ class MembershipReport:
 
     def to_json(self) -> dict:
         return {
-            "max_residual": float(self.max_residual),
+            # strict JSON has no NaN or Infinity; such a residual never passes
+            "max_residual": float(self.max_residual) if math.isfinite(self.max_residual) else None,
             "samples": self.samples,
             "tol": self.tol,
             "pass": self.passed,
@@ -107,15 +109,6 @@ def _sample_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     g = rng.standard_normal(n)
     g /= np.linalg.norm(g)
     return radius * rng.uniform() ** (1.0 / n) * g
-
-
-def _jacobian_fd(F, x, n, m, step):
-    out = np.zeros((m, n))
-    for j in range(n):
-        h = np.zeros(n)
-        h[j] = step
-        out[:, j] = (np.asarray(F(x + h)) - np.asarray(F(x - h))) / (2 * step)
-    return out
 
 
 def verify_membership(F, V: MatrixSubspace, samples: int = 100,
@@ -138,7 +131,7 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
         if isinstance(F, PolyMap):
             J = jacobian(F, x)
         else:
-            J = _jacobian_fd(F, x, V.n, V.m, TOLERANCES.fd_step)
+            J = fd_jacobian(F, x, TOLERANCES.fd_step)
         residuals.append(distance(J, V))
     worst = float(np.max(residuals))  # a NaN propagates and fails the check
     return MembershipReport(max_residual=worst, samples=samples,

@@ -34,25 +34,24 @@ from math import comb, factorial
 class HomSolutionSpace:
     """Space of admissible homogeneous maps of one degree.
 
-    ``basis`` elements are orthonormal in coefficient space; every element
-    has all its slot matrices in V up to the nullspace rank decisions.
+    ``rows`` holds the basis as orthonormal coefficient vectors, shape
+    (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
+    up to the nullspace rank decisions.
     """
 
     degree: int
     n: int
     m: int
-    basis: list
+    rows: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.shape[0]
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Basis coefficient vectors stacked as orthonormal rows."""
-        width = hom_dim(self.n, self.m, self.degree)
-        if not self.basis:
-            return np.zeros((0, width))
-        return np.array([p.coeff_vector() for p in self.basis])
+    @property
+    def basis(self) -> list:
+        """The basis elements as homogeneous maps."""
+        return [HomPoly.from_coeff_vector(self.n, self.m, self.degree, row) for row in self.rows]
 
 
 @dataclass
@@ -117,19 +116,7 @@ class ChainReport:
 
 def constants_space(n: int, m: int) -> HomSolutionSpace:
     """Degree-0 space: every constant map is admissible."""
-    basis = [HomPoly(n, m, 0, np.eye(m)[a].reshape(m, 1)) for a in range(m)]
-    return HomSolutionSpace(0, n, m, basis)
-
-
-def _space_from_rows(rows: np.ndarray, n, m, k) -> HomSolutionSpace:
-    basis = [HomPoly.from_coeff_vector(n, m, k, row) for row in rows]
-    return HomSolutionSpace(k, n, m, basis)
-
-
-def _linear_space_from_subspace(V: MatrixSubspace) -> HomSolutionSpace:
-    # a degree-1 coefficient array is exactly the matrix of the linear map
-    basis = [HomPoly(V.n, V.m, 1, B.copy()) for B in V.basis]
-    return HomSolutionSpace(1, V.n, V.m, basis)
+    return HomSolutionSpace(0, n, m, np.eye(m))
 
 
 def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
@@ -144,10 +131,7 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
         raise ValueError("degree must be >= 0")
     if k == 0:
         return constants_space(n, m)
-    perp = row_complement(V.flat, width=m * n)  # (q, m*n)
-    if perp.shape[0] == 0:
-        # V is the whole matrix space: every polynomial qualifies
-        return _space_from_rows(np.eye(hom_dim(n, m, k)), n, m, k)
+    perp = row_complement(V.flat)  # (q, m*n)
     perp3 = perp.reshape(-1, m, n)
     idx = monomial_index(n, k)
     num_mono = comb(n + k - 1, k)
@@ -165,7 +149,7 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
         rows = np.einsum("raj,jc->rac", perp3, pattern).reshape(perp.shape[0], m * num_mono)
         blocks.append(rows)
     system = np.vstack(blocks)
-    return _space_from_rows(nullspace_rows(system), n, m, k)
+    return HomSolutionSpace(k, n, m, nullspace_rows(system))
 
 
 def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
@@ -180,25 +164,19 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
         raise ValueError("previous space does not match the subspace dimensions")
     k = prev.degree + 1
     if prev.degree == 0:
-        return _linear_space_from_subspace(V)
+        # a degree-1 coefficient vector is exactly the flattened matrix
+        return HomSolutionSpace(1, n, m, V.flat.copy())
     if prev.dim == 0:
         # derivatives of a nonzero homogeneous map cannot all vanish
-        return HomSolutionSpace(k, n, m, [])
-    span = prev.coeff_matrix()
-    perp = row_complement(span)  # complement inside degree-(k-1) coefficients
-    if perp.shape[0] == 0:
-        return _space_from_rows(np.eye(hom_dim(n, m, k)), n, m, k)
-    num_lower = comb(n + k - 2, k - 1)
-    num_mono = comb(n + k - 1, k)
-    blocks = []
-    for i in range(n):
-        op = derivative_op(n, k, i)  # (num_lower, num_mono) scalar blocks
-        big = np.zeros((m * num_lower, m * num_mono))
-        for a in range(m):
-            big[a * num_lower:(a + 1) * num_lower, a * num_mono:(a + 1) * num_mono] = op
-        blocks.append(perp @ big)
-    system = np.vstack(blocks)
-    return _space_from_rows(nullspace_rows(system), n, m, k)
+        return HomSolutionSpace(k, n, m, np.zeros((0, hom_dim(n, m, k))))
+    # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
+    perp = row_complement(prev.rows)
+    r = perp.shape[0]
+    perp = perp.reshape(r, m, comb(n + k - 2, k - 1))
+    # the partial d_i p lies in prev iff perp annihilates its coefficients
+    width = m * comb(n + k - 1, k)
+    system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
+    return HomSolutionSpace(k, n, m, nullspace_rows(system))
 
 
 def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:

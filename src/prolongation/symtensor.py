@@ -234,6 +234,21 @@ def jacobian(F, x) -> np.ndarray:
     return out
 
 
+def fd_jacobian(f, x, step: float) -> np.ndarray:
+    """Central-difference Jacobian of any callable f at the point x.
+
+    Returns shape (len(f(x)), len(x)); column j is
+    (f(x + step e_j) - f(x - step e_j)) / (2 step).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        h = np.zeros(x.size)
+        h[j] = step
+        cols.append((np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2 * step))
+    return np.column_stack(cols)
+
+
 # --- JSON form shared with the CLI ---------------------------------------
 #
 # { "n": ..., "m": ..., "terms": [ {"degree": k, "output": a, "exponents":

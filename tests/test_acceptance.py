@@ -142,8 +142,7 @@ def test_criterion_06_oracle_equivalence():
                 ok = False
                 continue
             if current.dim:
-                angles = principal_angles_rows(current.coeff_matrix(),
-                                               direct.coeff_matrix())
+                angles = principal_angles_rows(current.rows, direct.rows)
                 ok &= angles[0] <= 1e-8
     verdict(6, "recursive-direct-equivalence", ok)
 

@@ -293,6 +293,31 @@ def test_verify_fails_when_the_jacobian_overflows(square_on_identity, tmp_path):
     assert read_result(out)["pass"] is False
 
 
+def _reject_constant(literal):
+    raise ValueError(f"non-standard JSON constant {literal}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_verify_report_with_an_overflowing_residual_is_strict_json(square_on_identity, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(square_on_identity("1e308") + ["--out", str(out)]) == 0
+    result = json.loads(out.read_text(), parse_constant=_reject_constant)["result"]
+    assert result["max_residual"] is None
+    assert result["pass"] is False
+
+
+def test_a_non_finite_report_value_is_exit_one(conformal_file, monkeypatch, capsys):
+    import prolongation.cli as cli_mod
+
+    _, help_text, options = cli_mod.SUBCOMMANDS["chain"]
+    monkeypatch.setitem(cli_mod.SUBCOMMANDS, "chain",
+                        (lambda args: {"value": float("inf")}, help_text, options))
+    assert main(["chain", "--input", str(conformal_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err
+
+
 # --- every JSON input rejects numbers that are not finite floats -------------
 
 @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "1" + "0" * 400],

@@ -218,6 +218,36 @@ def test_jet_solutions_satisfy_the_constraint_pointwise(rng):
             assert distance(jacobian(F, xi), V) <= 1e-9
 
 
+def test_jet_degree_one_checks_the_first_order_part():
+    aug = augment_with_full_range(conformal_subspace(3))
+    consistent = augmented_jet_space(aug, np.eye(3), 1)
+    assert not consistent.empty and consistent.dimension == 0
+    assert np.array_equal(consistent.particular.components[1].coeffs, np.eye(3))
+    # trace-free symmetric, so orthogonal to scalars plus skew matrices
+    inconsistent = augmented_jet_space(aug, np.diag([1.0, -1.0, 0.0]), 1)
+    assert inconsistent.empty and inconsistent.particular is None
+
+
+def test_value_coupled_jet_satisfies_the_constraint_pointwise():
+    from prolongation.matspace import nullspace_rows, row_complement
+    from prolongation.symtensor import jacobian
+
+    rng = np.random.default_rng(5)
+    n, m = 2, 3
+    aug = make_augmented(n, m, [(rng.standard_normal((m, n)), rng.standard_normal(m))
+                                for _ in range(7)])
+    perp = row_complement(aug.basis)
+    assert perp.shape[0] == 2 and np.linalg.norm(perp[:, m * n:]) > 0.1
+    A = nullspace_rows(perp[:, : m * n])[0].reshape(m, n)
+    report = augmented_jet_space(aug, A, 3)
+    assert not report.empty and report.dimension > 0
+    for F in report.basis + [report.particular]:
+        for _ in range(10):
+            xi = rng.standard_normal(n)
+            pair = np.concatenate([jacobian(F, xi).ravel(), F.evaluate(xi)])
+            assert np.linalg.norm(perp @ pair) <= 1e-9 * max(1.0, np.linalg.norm(pair))
+
+
 def test_jet_rejects_bad_degree(rng):
     aug = augment_with_full_range(conformal_subspace(3))
     with pytest.raises(ValueError):

@@ -167,7 +167,7 @@ def test_grading_closure(rng):
          for F, d in zip(basis.elements, basis.degrees) if d == 2),
         start=np.zeros_like(basis.elements[-1].degree_component(2).coeffs),
     )
-    span = report.spaces[2].coeff_matrix()
+    span = report.spaces[2].rows
     vec = combo.ravel()
     residual = vec - span.T @ (span @ vec)
     assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(vec))

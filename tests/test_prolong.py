@@ -16,6 +16,7 @@ from prolongation.prolong import (
     mk_step,
 )
 from prolongation.manifolds import quaternion_right_multiplications
+from prolongation.symtensor import hom_dim
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -26,7 +27,7 @@ def spaces_match(s1, s2, tol=1e-8):
         return False
     if s1.dim == 0:
         return True
-    angles = principal_angles_rows(s1.coeff_matrix(), s2.coeff_matrix())
+    angles = principal_angles_rows(s1.rows, s2.rows)
     return angles[0] <= tol
 
 
@@ -49,7 +50,7 @@ def test_mk_direct_holomorphic_degree_five_contains_powers():
     V = make_subspace(2, 2, [I2, J2])
     space = mk_direct(V, 5)
     assert space.dim == 2
-    span = space.coeff_matrix()
+    span = space.rows
     for p in (holomorphic_power(5), rotate_power(5)):
         vec = p.coeff_vector()
         vec = vec / np.linalg.norm(vec)
@@ -69,7 +70,7 @@ def test_mk_step_from_constants_returns_the_subspace(rng):
     V = random_subspace(rng, 3, 2, 3)
     space = mk_step(V, constants_space(3, 2))
     assert space.dim == V.dim
-    angles = principal_angles_rows(space.coeff_matrix(), V.flat)
+    angles = principal_angles_rows(space.rows, V.flat)
     assert angles[0] <= 1e-12
 
 
@@ -119,10 +120,22 @@ def test_chain_holomorphic_plane_reaches_k_max():
     assert not report.alpha_total_exact
     # oracle: the real and imaginary parts of the k-th power solve every degree
     for space in report.spaces[1:]:
-        span = space.coeff_matrix()
+        span = space.rows
         vec = holomorphic_power(space.degree).coeff_vector()
         vec /= np.linalg.norm(vec)
         assert np.linalg.norm(vec - span.T @ (span @ vec)) < 1e-10
+
+
+def test_chain_on_the_whole_matrix_space():
+    # no constraint: every polynomial qualifies, and the complement of each
+    # degree is empty
+    n, m = 3, 2
+    V = make_subspace(n, m, list(np.eye(m * n).reshape(-1, m, n)))
+    report = chain(V, 4)
+    assert report.alpha == [hom_dim(n, m, k) for k in range(5)]
+    assert report.delta.status == "lower_bound" and report.delta.value == 4
+    for k, space in enumerate(report.spaces):
+        assert spaces_match(space, mk_direct(V, k)), k
 
 
 def test_chain_rejects_bad_k_max():
