@@ -23,7 +23,7 @@ from .matspace import (
 )
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import DeltaStatus, chain
-from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian
+from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian, json_dimensions
 
 
 class DegeneratePointError(ValueError):
@@ -438,6 +438,6 @@ def augmented_to_json(v_aug: AugmentedSubspace) -> dict:
 
 
 def augmented_from_json(data: dict) -> AugmentedSubspace:
-    n, m = int(data["n"]), int(data["m"])
+    n, m = json_dimensions(data)
     pairs = [(g["matrix"], g["vector"]) for g in data.get("generators", [])]
     return make_augmented(n, m, pairs)

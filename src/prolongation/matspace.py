@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import subspace_angles
 
 from .config import TOLERANCES
+from .symtensor import json_dimensions
 
 
 def rank_from_singular_values(s: np.ndarray) -> int:
@@ -163,6 +164,6 @@ def subspace_to_json(V: MatrixSubspace) -> dict:
 
 
 def subspace_from_json(data: dict) -> MatrixSubspace:
-    n, m = int(data["n"]), int(data["m"])
+    n, m = json_dimensions(data)
     gens = [np.asarray(g, dtype=float) for g in data.get("generators", [])]
     return make_subspace(n, m, gens)

@@ -20,7 +20,6 @@ from .matspace import (
     distance,
     make_subspace,
     principal_angles_rows,
-    project,
 )
 from .prolong import ChainReport, DeltaStatus, chain
 
@@ -90,11 +89,12 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
 # --- rank-one detector ----------------------------------------------------
 
 def _rank_one_polish(V: MatrixSubspace, X: np.ndarray, iters: int = 120):
-    """Alternate between the rank-one cone and V; returns the refined matrix."""
+    """Alternate between the rank-one cone and V, or V (x) C when X is
+    complex; returns the refined matrix."""
     for _ in range(iters):
         u, s, vt = np.linalg.svd(X)
         rank_one = s[0] * np.outer(u[:, 0], vt[0])
-        Y = project(rank_one, V)
+        Y = np.tensordot(V.flat @ rank_one.ravel(), V.basis, axes=1)
         norm = np.linalg.norm(Y)
         if norm < 1e-14:
             return X
@@ -174,121 +174,29 @@ def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness) -> bool:
 
 # --- embedded complex-structure plane detector -----------------------------
 
-def _pair_penalty(V: MatrixSubspace, c1, c2) -> float:
-    n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
-    if n1 < 1e-12 or n2 < 1e-12:
-        return 1e3
-    A = V.element(c1 / n1)
-    B = V.element(c2 / n2)
-    ua, sa, vta = np.linalg.svd(A)
-    ub, sb, vtb = np.linalg.svd(B)
-    if sa[1] < 1e-9 or sb[1] < 1e-9:
-        return 1e3
-    s3a = sa[2] if sa.size > 2 else 0.0
-    s3b = sb[2] if sb.size > 2 else 0.0
-    Ua, Ub = ua[:, :2], ub[:, :2]
-    Va, Vb = vta[:2].T, vtb[:2].T
-    col_gap2 = max(0.0, 2.0 - np.linalg.norm(Ua.T @ Ub) ** 2)
-    row_gap2 = max(0.0, 2.0 - np.linalg.norm(Va.T @ Vb) ** 2)
-    A_t = Ua.T @ A @ Va
-    B_t = Ua.T @ B @ Va
-    det = A_t[0, 0] * A_t[1, 1] - A_t[0, 1] * A_t[1, 0]
-    if abs(det) < 1e-12:
-        return 1e3
-    C = B_t @ np.linalg.inv(A_t)
-    j_res2 = np.linalg.norm(C @ C + np.eye(2)) ** 2
-    return float(s3a ** 2 + s3b ** 2 + col_gap2 + row_gap2 + j_res2)
-
-
-def _pair_polish(V: MatrixSubspace, A, B, rounds: int = 50):
-    """Drive the pair toward rank two with shared spaces, then solve the
-    quarter-turn relation exactly inside the plane spanned by the pair."""
-    for _ in range(rounds):
-        ua, sa, vta = np.linalg.svd(A)
-        A_new = project(ua[:, :2] @ np.diag(sa[:2]) @ vta[:2], V)
-        norm = np.linalg.norm(A_new)
-        if norm < 1e-14:
-            return None
-        A_new /= norm
-        Ua, Va = np.linalg.svd(A_new)[0][:, :2], np.linalg.svd(A_new)[2][:2].T
-        B_new = project(Ua @ (Ua.T @ B @ Va) @ Va.T, V)
-        normb = np.linalg.norm(B_new)
-        if normb < 1e-14:
-            return None
-        B_new /= normb
-        if np.linalg.norm(A_new - A) < 1e-15 and np.linalg.norm(B_new - B) < 1e-15:
-            A, B = A_new, B_new
-            break
-        A, B = A_new, B_new
-    ua, sa, vta = np.linalg.svd(A)
-    if sa[1] < 1e-10:
-        return None
-    Ua, Va = ua[:, :2], vta[:2].T
-    A_t = Ua.T @ A @ Va
-    B_t = Ua.T @ B @ Va
-    if abs(np.linalg.det(A_t)) < 1e-12:
-        return None
-    C = B_t @ np.linalg.inv(A_t)
-    tr, det = float(np.trace(C)), float(np.linalg.det(C))
-    disc = det - tr ** 2 / 4.0
-    if disc <= 1e-12:
-        return None  # real eigenvalues: no quarter-turn combination exists
-    y = 1.0 / np.sqrt(disc)
-    x = -y * tr / 2.0
-    B_star = x * A + y * B
-    scale = np.linalg.norm(A)
-    return A / scale, B_star / scale
-
-
 def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for an embedded plane equivalent to the reference one.
 
-    Multi-start simplex descent over pairs of unit coefficient vectors on
-    the penalty (rank-two defects, column/row space gaps, quarter-turn
-    defect); candidates are polished, completed to an exact quarter-turn
-    relation inside their plane, and returned only when certified by
-    :func:`verify_complex_pair`.
+    A complex rank-one element z zeta^T of V (x) C, with z = a + ib and
+    zeta = c + id, has real and imaginary parts [a b] diag(1, -1) [c d]^T and
+    [a b] [[0, 1], [1, 0]] [c d]^T; unless a factor is real up to a phase,
+    they span such a plane.  Each restart polishes a random complex
+    combination of the basis toward the rank-one set, and the first pair
+    (Re X, Im X) that passes :func:`verify_complex_pair` is returned.
     """
     if V.dim < 2:
         raise ValueError("the subspace must have dimension >= 2")
     if V.n < 2 or V.m < 2:
         raise ValueError("the ambient matrices must be at least 2x2")
-    d = V.dim
-
-    def objective(z):
-        return _pair_penalty(V, z[:d], z[d:])
-
-    best = None
-    best_penalty = np.inf
     for r in range(restarts):
         rng = _restart_rng(seed, r)
-        z0 = rng.standard_normal(2 * d)
-        res = minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={"maxfev": 300 + 60 * 2 * d, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        c1, c2 = res.x[:d], res.x[d:]
-        if np.linalg.norm(c1) < 1e-12 or np.linalg.norm(c2) < 1e-12:
-            continue
-        polished = _pair_polish(V, V.element(c1 / np.linalg.norm(c1)),
-                                V.element(c2 / np.linalg.norm(c2)))
-        if polished is None:
-            continue
-        witness = ComplexPairWitness(A=polished[0], B=polished[1])
+        c = np.empty(V.dim, dtype=complex)
+        c.real, c.imag = rng.standard_normal((2, V.dim))
+        X = _rank_one_polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
+        witness = ComplexPairWitness(A=X.real, B=X.imag)
         if verify_complex_pair(V, witness):
-            penalty = sum(witness.residuals[k] ** 2 for k in
-                          ("rank_a", "rank_b", "colspace_gap", "rowspace_gap",
-                           "complex_structure"))
-            if penalty < best_penalty:
-                best_penalty = penalty
-                best = witness
-    return best
-
-
-def _extend_to_invertible(columns: np.ndarray, complement: np.ndarray) -> np.ndarray:
-    return np.hstack([columns, complement])
+            return witness
+    return None
 
 
 def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
@@ -305,13 +213,17 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     m, n = A.shape
     tol = TOLERANCES
     residuals: dict = {}
+    witness.residuals = residuals
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        return False
     ua, sa, vta = np.linalg.svd(A)
     ub, sb, vtb = np.linalg.svd(B)
+    # written so that a zero matrix fails: rank below two leaves the
+    # restrictions singular
+    if not (sa[1] > tol.certificate * sa[0] and sb[1] > tol.certificate * sb[0]):
+        return False
     residuals["rank_a"] = float(sa[2] / sa[0]) if sa.size > 2 else 0.0
     residuals["rank_b"] = float(sb[2] / sb[0]) if sb.size > 2 else 0.0
-    witness.residuals = residuals
-    if sa[1] / sa[0] <= tol.certificate or sb[1] / sb[0] <= tol.certificate:
-        return False  # rank below two: restrictions are not invertible
     if residuals["rank_a"] > tol.certificate or residuals["rank_b"] > tol.certificate:
         return False
     Ua, Ub = ua[:, :2], ub[:, :2]
@@ -344,7 +256,7 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     S = np.column_stack([s1, C @ s1])
     if abs(np.linalg.det(S)) < tol.quarter_turn_det:
         return False
-    P = _extend_to_invertible(Ua @ S, ua[:, 2:])
+    P = np.hstack([Ua @ S, ua[:, 2:]])
     Q = np.vstack([np.linalg.solve(S, A_t) @ Va.T, vta[2:]])
     witness.P, witness.Q = P, Q
     ref = complex_structure_plane(m, n)

@@ -254,6 +254,19 @@ def fd_jacobian(f, x, step: float) -> np.ndarray:
 # { "n": ..., "m": ..., "terms": [ {"degree": k, "output": a, "exponents":
 #   [...], "value": c}, ... ] }   with 1-based output index.
 
+def json_dimensions(data: dict) -> tuple[int, int]:
+    """The ``n`` and ``m`` fields of an input file, each an integer >= 1;
+    a bool, a fractional value or a non-number raises ValueError."""
+    dims = []
+    for key in ("n", "m"):
+        value = data[key]
+        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral or value < 1:
+            raise ValueError(f"field {key!r} must be an integer >= 1, got {value!r}")
+        dims.append(int(value))
+    return dims[0], dims[1]
+
+
 def polymap_to_json(F: PolyMap) -> dict:
     terms = []
     for k in sorted(F.components):
@@ -275,7 +288,7 @@ def polymap_to_json(F: PolyMap) -> dict:
 
 
 def polymap_from_json(data: dict) -> PolyMap:
-    n, m = int(data["n"]), int(data["m"])
+    n, m = json_dimensions(data)
     comps = {}
     for term in data["terms"]:
         k = int(term["degree"])

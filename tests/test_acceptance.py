@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import prolongation
 from conftest import (
     conformal_subspace,
     fd_jacobian,
@@ -210,10 +212,14 @@ def test_criterion_11_semicontinuity_probe():
 
 
 def _run_cli(args, out_path):
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(prolongation.__file__))
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     result = subprocess.run(
         [sys.executable, "-m", "prolongation.cli", *args, "--out", str(out_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert result.returncode == 0, result.stderr
     return out_path.read_bytes()

@@ -346,3 +346,31 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
                 "--matrix", str(paths["matrix"]), "--degree", "2"]
     assert main(argv) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+# --- dimension fields must be integers >= 1 ---------------------------------
+
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("m", 0), ("n", True), ("m", "2")],
+                         ids=["fractional", "zero", "bool", "string"])
+@pytest.mark.parametrize("kind", ["subspace", "polynomial", "augmented"])
+def test_invalid_dimension_fields_are_exit_one(tmp_path, capsys, kind, field, value):
+    space = {"n": 2, "m": 2, "generators": [np.eye(2).tolist()]}
+    poly = {"n": 2, "m": 2, "terms": [
+        {"degree": 1, "output": 1, "exponents": [1, 0], "value": 1.0}]}
+    aug = {"n": 2, "m": 2, "generators": [{"matrix": np.eye(2).tolist(), "vector": [0.0, 0.0]}]}
+    files = {"subspace": space, "polynomial": poly, "augmented": aug, "matrix": np.eye(2).tolist()}
+    files[kind] = {**files[kind], field: value}
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    if kind == "subspace":
+        argv = ["chain", "--input", str(paths["subspace"])]
+    elif kind == "polynomial":
+        argv = ["verify", "--input", str(paths["subspace"]), "--poly", str(paths["polynomial"])]
+    else:
+        argv = ["jet", "--input-augmented", str(paths["augmented"]),
+                "--matrix", str(paths["matrix"]), "--degree", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and f"field '{field}'" in err

@@ -97,6 +97,32 @@ def test_find_complex_pair_on_conjugated_planes(rng):
         assert max(witness.residuals.values()) <= 1e-7
 
 
+def test_find_complex_pair_on_a_plane_inside_a_larger_space(rng):
+    # a conjugated 3x4 plane plus two Gaussian directions: dim V = 4
+    W = complex_structure_plane(3, 4)
+    for trial in range(4):
+        plane = conjugate(W, well_conditioned(rng, 3), well_conditioned(rng, 4))
+        V = make_subspace(4, 3, [*plane.basis, *rng.standard_normal((2, 3, 4))])
+        witness = find_complex_pair(V, seed=trial, restarts=64)
+        assert witness is not None, trial
+        assert verify_complex_pair(V, witness)
+        assert max(witness.residuals.values()) <= 1e-7
+
+
+def test_complex_rank_one_with_a_real_factor_is_no_pair(rng):
+    # every element of V (x) C is w zeta^T: rank one with the real factor w
+    w, c, d = rng.standard_normal((3, 3))
+    V = make_subspace(3, 3, [np.outer(w, c), np.outer(w, d)])
+    assert find_complex_pair(V, seed=15, restarts=8) is None
+    outcome = classify_delta_full(V, k_max=4, seed=15, restarts=8)
+    assert outcome.delta.status == "infinite_certified"
+    assert outcome.delta.witness is outcome.rank_one
+    assert outcome.searches_json() == {
+        "rank_one": "certified",
+        "complex_pair": "inconclusive",
+    }
+
+
 def test_find_complex_pair_absent_on_skew():
     assert find_complex_pair(skew_subspace(3), seed=6, restarts=16) is None
 
@@ -139,6 +165,15 @@ def test_verify_complex_pair_examples():
     full_rank = ComplexPairWitness(A=np.eye(3), B=J_pad)
     assert not verify_complex_pair(make_subspace(3, 3, [np.eye(3), J_pad]), full_rank)
     assert full_rank.residuals["rank_a"] > 1e-7
+
+
+def test_verify_complex_pair_fails_closed():
+    W = complex_structure_plane(3, 3)
+    A, B = W.basis[0].copy(), W.basis[1].copy()
+    zero = np.zeros((3, 3))
+    nan = np.full((3, 3), np.nan)
+    for pair in ((zero, B), (A, zero), (zero, zero), (nan, B), (A, nan)):
+        assert not verify_complex_pair(W, ComplexPairWitness(*pair))
 
 
 def test_verify_reconstructs_the_plane():
