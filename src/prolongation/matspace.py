@@ -20,14 +20,24 @@ def rank_from_singular_values(s: np.ndarray) -> int:
     return int(np.sum(s > TOLERANCES.rank_rel * max(1.0, float(s[0]))))
 
 
+def row_space_and_kernel(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row space of A and {x : A x = 0}, from
+    one SVD; shapes (rank, A.shape[1]) and (A.shape[1] - rank, A.shape[1]).
+    The two stacks are orthogonal complements of each other."""
+    A = np.asarray(A, dtype=float)
+    rows, cols = A.shape
+    if rows == 0:
+        return np.zeros((0, cols)), np.eye(cols)
+    # vh is cols x cols either way: only a wide A needs the full factors,
+    # and a tall one skips its rows x rows left factor
+    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
+    rank = rank_from_singular_values(s)
+    return vh[:rank], vh[rank:]
+
+
 def nullspace_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {x : A x = 0}; shape (dim_null, A.shape[1])."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1])
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = rank_from_singular_values(s)
-    return vh[rank:]
+    return row_space_and_kernel(A)[1]
 
 
 def row_complement(B: np.ndarray) -> np.ndarray:

@@ -210,10 +210,13 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     """
     A = np.asarray(witness.A, dtype=float)
     B = np.asarray(witness.B, dtype=float)
-    m, n = A.shape
     tol = TOLERANCES
     residuals: dict = {}
     witness.residuals = residuals
+    m, n = V.m, V.n
+    # a rank-two pair needs two rows and two columns
+    if A.shape != (m, n) or B.shape != (m, n) or min(m, n) < 2:
+        return False
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return False
     ua, sa, vta = np.linalg.svd(A)

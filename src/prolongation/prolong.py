@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matspace import MatrixSubspace, distance, nullspace_rows, row_complement
+from .matspace import MatrixSubspace, distance, row_complement, row_space_and_kernel
 from .symtensor import (
     HomPoly,
     derivative_op,
-    hom_dim,
     monomial_basis,
     monomial_index,
     polymap_to_json,
@@ -36,13 +35,16 @@ class HomSolutionSpace:
 
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
-    up to the nullspace rank decisions.
+    up to the nullspace rank decisions.  ``perp`` holds orthonormal rows
+    spanning the orthogonal complement of ``rows``, which the next
+    recursion step needs; it comes from the same SVD as ``rows``.
     """
 
     degree: int
     n: int
     m: int
     rows: np.ndarray
+    perp: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -116,7 +118,7 @@ class ChainReport:
 
 def constants_space(n: int, m: int) -> HomSolutionSpace:
     """Degree-0 space: every constant map is admissible."""
-    return HomSolutionSpace(0, n, m, np.eye(m))
+    return HomSolutionSpace(0, n, m, np.eye(m), np.zeros((0, m)))
 
 
 def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
@@ -149,7 +151,8 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
         rows = np.einsum("raj,jc->rac", perp3, pattern).reshape(perp.shape[0], m * num_mono)
         blocks.append(rows)
     system = np.vstack(blocks)
-    return HomSolutionSpace(k, n, m, nullspace_rows(system))
+    perp_k, rows = row_space_and_kernel(system)
+    return HomSolutionSpace(k, n, m, rows, perp_k)
 
 
 def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
@@ -165,18 +168,18 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     k = prev.degree + 1
     if prev.degree == 0:
         # a degree-1 coefficient vector is exactly the flattened matrix
-        return HomSolutionSpace(1, n, m, V.flat.copy())
+        return HomSolutionSpace(1, n, m, V.flat.copy(), row_complement(V.flat))
+    width = m * comb(n + k - 1, k)
     if prev.dim == 0:
         # derivatives of a nonzero homogeneous map cannot all vanish
-        return HomSolutionSpace(k, n, m, np.zeros((0, hom_dim(n, m, k))))
+        return HomSolutionSpace(k, n, m, np.zeros((0, width)), np.eye(width))
     # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
-    perp = row_complement(prev.rows)
-    r = perp.shape[0]
-    perp = perp.reshape(r, m, comb(n + k - 2, k - 1))
+    r = prev.perp.shape[0]
+    perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
     # the partial d_i p lies in prev iff perp annihilates its coefficients
-    width = m * comb(n + k - 1, k)
     system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
-    return HomSolutionSpace(k, n, m, nullspace_rows(system))
+    perp_k, rows = row_space_and_kernel(system)
+    return HomSolutionSpace(k, n, m, rows, perp_k)
 
 
 def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:

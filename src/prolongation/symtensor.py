@@ -254,17 +254,19 @@ def fd_jacobian(f, x, step: float) -> np.ndarray:
 # { "n": ..., "m": ..., "terms": [ {"degree": k, "output": a, "exponents":
 #   [...], "value": c}, ... ] }   with 1-based output index.
 
+def _json_integer(value, key: str, minimum: int) -> int:
+    """An integer field of an input file, at least ``minimum``; an integral
+    float such as ``2.0`` is accepted, while a bool, a fractional value or a
+    non-number raises ValueError naming the field."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValueError(f"field {key!r} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def json_dimensions(data: dict) -> tuple[int, int]:
-    """The ``n`` and ``m`` fields of an input file, each an integer >= 1;
-    a bool, a fractional value or a non-number raises ValueError."""
-    dims = []
-    for key in ("n", "m"):
-        value = data[key]
-        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        if isinstance(value, bool) or not integral or value < 1:
-            raise ValueError(f"field {key!r} must be an integer >= 1, got {value!r}")
-        dims.append(int(value))
-    return dims[0], dims[1]
+    """The ``n`` and ``m`` fields of an input file, each an integer >= 1."""
+    return _json_integer(data["n"], "n", 1), _json_integer(data["m"], "m", 1)
 
 
 def polymap_to_json(F: PolyMap) -> dict:
@@ -291,9 +293,9 @@ def polymap_from_json(data: dict) -> PolyMap:
     n, m = json_dimensions(data)
     comps = {}
     for term in data["terms"]:
-        k = int(term["degree"])
-        a = int(term["output"]) - 1
-        beta = tuple(int(e) for e in term["exponents"])
+        k = _json_integer(term["degree"], "degree", 0)
+        a = _json_integer(term["output"], "output", 1) - 1
+        beta = tuple(_json_integer(e, "exponents", 0) for e in term["exponents"])
         if len(beta) != n or sum(beta) != k or not 0 <= a < m:
             raise ValueError(f"malformed polynomial term: {term}")
         if k not in comps:

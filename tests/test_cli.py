@@ -374,3 +374,37 @@ def test_invalid_dimension_fields_are_exit_one(tmp_path, capsys, kind, field, va
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "invalid input" in err and f"field '{field}'" in err
+
+
+# --- the per-term fields of a polynomial file are integers too --------------
+
+def verify_one_term(tmp_path, term):
+    """Exit code of ``verify`` of a one-term polynomial against span{I}."""
+    space = tmp_path / "identity.json"
+    space.write_text(json.dumps({"n": 2, "m": 2, "generators": [np.eye(2).tolist()]}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"n": 2, "m": 2, "terms": [{"value": 1.0, **term}]}))
+    return main(["verify", "--input", str(space), "--poly", str(poly)])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", 1.9), ("degree", -1), ("degree", True), ("output", 1.5), ("output", 0),
+    ("exponents", [1.2, 0]), ("exponents", [2, -1]), ("exponents", [False, 1])],
+    ids=["fractional-degree", "negative-degree", "bool-degree", "fractional-output",
+         "zero-output", "fractional-exponent", "negative-exponent", "bool-exponent"])
+def test_invalid_polynomial_term_fields_are_exit_one(tmp_path, capsys, field, value):
+    term = {"degree": 1, "output": 1, "exponents": [1, 0], field: value}
+    assert verify_one_term(tmp_path, term) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and f"field '{field}'" in err
+
+
+def test_truncating_term_fields_are_exit_one(tmp_path, capsys):
+    # each field would truncate to the linear term x1 in output 1
+    term = {"degree": 1.9, "output": 1.5, "exponents": [1.2, 0]}
+    assert verify_one_term(tmp_path, term) == 1
+    assert "field 'degree'" in capsys.readouterr().err
+
+
+def test_integral_float_term_fields_are_accepted(tmp_path):
+    assert verify_one_term(tmp_path, {"degree": 2.0, "output": 1.0, "exponents": [2.0, 0]}) == 0

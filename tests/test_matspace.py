@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from prolongation.matspace import (
     distance,
     make_subspace,
     max_principal_angle,
+    nullspace_rows,
+    principal_angles_rows,
     project,
+    rank_from_singular_values,
+    row_space_and_kernel,
     subspace_from_json,
     subspace_to_json,
     subspaces_equal,
@@ -140,3 +146,40 @@ def test_subspace_json_round_trip(rng):
     V = random_subspace(rng, 2, 3, 3)
     W = subspace_from_json(subspace_to_json(V))
     assert subspaces_equal(V, W, 1e-12)
+
+
+# --- one SVD gives the row space and the kernel ----------------------------
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (40, 7, 7), (7, 40, 7), (9, 9, 9), (0, 6, 0), (30, 10, 4), (6, 15, 3), (12, 12, 5),
+    (5, 5, 0), (3, 0, 0)],
+    ids=["tall", "wide", "square", "zero-row", "tall-deficient", "wide-deficient",
+         "square-deficient", "zero", "zero-column"])
+def test_row_space_and_kernel_split_the_columns(rng, rows, cols, rank):
+    A = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    row_space, kernel = row_space_and_kernel(A)
+    assert row_space.shape == (rank, cols)
+    assert kernel.shape == (cols - rank, cols)
+    both = np.vstack([row_space, kernel])
+    assert np.linalg.norm(both @ both.T - np.eye(cols)) <= 1e-12
+    assert np.linalg.norm(A @ kernel.T) <= 1e-12 * max(1.0, np.linalg.norm(A))
+    if rows and cols:
+        _, s, vh = np.linalg.svd(A, full_matrices=True)
+        full_kernel = vh[rank_from_singular_values(s):]
+        assert full_kernel.shape == kernel.shape
+        angles = principal_angles_rows(kernel, full_kernel)
+        assert angles.size == 0 or angles[0] <= 1e-12
+
+
+def test_nullspace_rows_of_a_tall_matrix_skips_the_left_factor(rng):
+    # a full left factor of this matrix alone is 3000 x 3000 doubles, 72 MB
+    A = rng.standard_normal((3000, 30))
+    A[:, -1] = A[:, 0]
+    tracemalloc.start()
+    try:
+        kernel = nullspace_rows(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (1, 30)
+    assert peak < 8e6

@@ -176,6 +176,21 @@ def test_verify_complex_pair_fails_closed():
         assert not verify_complex_pair(W, ComplexPairWitness(*pair))
 
 
+def test_verify_complex_pair_rejects_thin_and_mismatched_witnesses():
+    line = make_subspace(3, 1, [np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])])
+    A, B = line.basis[0].copy(), line.basis[1].copy()
+    assert not verify_complex_pair(line, ComplexPairWitness(A, B))
+    column = make_subspace(1, 3, [A.T, B.T])
+    assert not verify_complex_pair(column, ComplexPairWitness(A.T.copy(), B.T.copy()))
+    W = complex_structure_plane(3, 3)
+    square = W.basis[0].copy()
+    for pair in ((square, np.zeros((3, 4))), (square, square[:2]), (square[0], square[1])):
+        assert not verify_complex_pair(W, ComplexPairWitness(*pair))
+    # a pair of the wrong shape for V
+    wide = complex_structure_plane(3, 4)
+    assert not verify_complex_pair(wide, ComplexPairWitness(W.basis[0].copy(), W.basis[1].copy()))
+
+
 def test_verify_reconstructs_the_plane():
     W = complex_structure_plane(3, 4)
     witness = ComplexPairWitness(A=W.basis[0].copy(), B=W.basis[1].copy())

@@ -6,8 +6,9 @@ from conftest import (
     holomorphic_power,
     random_subspace,
     skew_subspace,
+    well_conditioned,
 )
-from prolongation.matspace import make_subspace, principal_angles_rows
+from prolongation.matspace import conjugate, make_subspace, principal_angles_rows
 from prolongation.prolong import (
     chain,
     constants_space,
@@ -16,6 +17,7 @@ from prolongation.prolong import (
     mk_step,
 )
 from prolongation.manifolds import quaternion_right_multiplications
+from prolongation.obstruct import complex_structure_plane
 from prolongation.symtensor import hom_dim
 
 I2 = np.eye(2)
@@ -90,6 +92,56 @@ def test_mk_step_matches_mk_direct_on_seeded_corpus(rng):
         stepped = run_step_chain(V, 4)
         for k in range(5):
             assert spaces_match(stepped[k], mk_direct(V, k)), (trial, n, m, dim, k)
+
+
+def trace_free_subspace(n):
+    units = np.eye(n * n).reshape(-1, n, n)
+    return make_subspace(n, n, [E - np.trace(E) / n * np.eye(n) for E in units])
+
+
+def assert_complement_invariants(space):
+    n, m, k = space.n, space.m, space.degree
+    perp, rows = space.perp, space.rows
+    assert perp.shape[1] == rows.shape[1] == hom_dim(n, m, k)
+    assert space.dim + perp.shape[0] == hom_dim(n, m, k)
+    assert np.linalg.norm(perp @ perp.T - np.eye(perp.shape[0])) <= 1e-12
+    assert np.linalg.norm(perp @ rows.T) <= 1e-12
+
+
+def test_complements_above_degree_two(rng):
+    # spaces that stay nonzero in high degree, where each step reuses the
+    # complement the previous step's SVD produced
+    cases = [(conjugate(complex_structure_plane(3, 3), well_conditioned(rng, 3),
+                        well_conditioned(rng, 3)), 7),
+             (trace_free_subspace(3), 4)]
+    for _ in range(6):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(2, 4))
+        cases.append((random_subspace(rng, n, m, int(rng.integers(m * n - n, m * n))), 5))
+    for V, k_max in cases:
+        stepped = run_step_chain(V, k_max)
+        assert stepped[-1].dim > 0
+        for k, space in enumerate(stepped):
+            direct = mk_direct(V, k)
+            assert_complement_invariants(space)
+            assert_complement_invariants(direct)
+            assert spaces_match(space, direct), (V.n, V.m, V.dim, k)
+
+
+def test_mk_step_runs_one_svd_and_reuses_the_previous_complement(rng, monkeypatch):
+    import prolongation.prolong as prolong_mod
+
+    V = random_subspace(rng, 3, 2, 4)
+    spaces = run_step_chain(V, 2)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    monkeypatch.setattr(prolong_mod, "row_complement", None)
+    for _ in range(3):
+        calls.clear()
+        spaces.append(mk_step(V, spaces[-1]))
+        assert len(calls) == 1
+    assert spaces[-1].dim > 0
 
 
 def test_mk_step_rejects_mismatched_dimensions(rng):
