@@ -11,8 +11,6 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .config import TOLERANCES
 from .manifolds import (
     augmented_from_json,
@@ -28,22 +26,6 @@ from .prolong import chain
 from .symtensor import polymap_from_json
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -52,17 +34,26 @@ def _finite_float(text: str) -> float:
 
 
 def _load_json(path: str) -> dict:
-    """Parse a JSON input file, rejecting NaN, Infinity and overflowing numbers."""
+    """Parse a JSON input file, rejecting NaN, Infinity, overflowing numbers
+    and true/false, which no input field takes."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    stack = [(None, data)]  # (field name, value); list items keep their field's name
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, bool):
+            where = f"field {key!r}" if key else "top level"
+            raise ValueError(f"{json.dumps(value)} at {where} of {path}; no field is boolean")
+        if isinstance(value, dict):
+            stack.extend(value.items())
+        elif isinstance(value, list):
+            stack.extend((key, item) for item in value)
+    return data
 
 
 def _emit(report: dict, config: dict | None, out: str | None) -> None:
     """Write the report; a None config writes the bare result."""
-    if config is None:
-        payload = _jsonable(report)
-    else:
-        payload = _jsonable({"config": config, "result": report})
+    payload = report if config is None else {"config": config, "result": report}
     if config is not None and config["format"] == "table":
         text = _render_table(payload)
     else:
@@ -94,7 +85,7 @@ def _render_table(payload: dict) -> str:
 
 
 def _alpha_total_field(report) -> dict:
-    body = report.to_json(include_bases=True)
+    body = report.to_json()
     if not report.alpha_total_exact:
         body["alpha_total_note"] = f">= {report.alpha_total}"
     return body
@@ -143,13 +134,12 @@ def _cmd_polysolve(args) -> dict:
             "note": "chain did not terminate within k_max; no finite basis",
         }
     basis = solution_basis(V, report)
-    reduced = reduced_basis(basis)
     return {
         "delta": report.delta.to_json(),
         "alpha": list(report.alpha),
         "alpha_total": report.alpha_total,
         "solution_basis": basis.to_json(),
-        "reduced_basis": reduced.to_json(),
+        "reduced_basis": reduced_basis(basis).to_json(),
     }
 
 
@@ -157,13 +147,11 @@ def _cmd_manifold(args) -> dict:
     family = builtin_family(args.family, args.dim)
     if args.emit_tangent:
         # raw subspace file, replayable through the linear subcommands
-        V = tangent_space(family, family.base_point)
-        return subspace_to_json(V)
-    report = sample_analysis(
+        return subspace_to_json(tangent_space(family, family.base_point))
+    return sample_analysis(
         family, sample_count=args.samples, k_max=args.k_max,
         seed=args.seed, restarts=args.restarts,
-    )
-    return report.to_json()
+    ).to_json()
 
 
 def _cmd_verify(args) -> dict:
@@ -171,17 +159,14 @@ def _cmd_verify(args) -> dict:
     F = polymap_from_json(_load_json(args.poly))
     if (F.n, F.m) != (V.n, V.m):
         raise ValueError("polynomial and subspace dimensions disagree")
-    report = verify_membership(
+    return verify_membership(
         F, V, samples=args.samples, radius=args.radius, tol=args.tol, seed=args.seed,
-    )
-    return report.to_json()
+    ).to_json()
 
 
 def _cmd_jet(args) -> dict:
     v_aug = augmented_from_json(_load_json(args.input))
-    A = np.asarray(_load_json(args.matrix), dtype=float)
-    report = augmented_jet_space(v_aug, A, args.degree)
-    return report.to_json()
+    return augmented_jet_space(v_aug, _load_json(args.matrix), args.degree).to_json()
 
 
 # --- options: each declared once, with its one default ---------------------

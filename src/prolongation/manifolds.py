@@ -2,11 +2,12 @@
 chain analysis and truncated jet spaces for the augmented (value-coupled)
 setting.
 
-A constraint family fixes, at every domain point, a set of admissible
-Jacobians cut out by a defining function.  The tangent space at an
-admissible matrix is the kernel of the defining function's derivative;
-running the chain on sampled tangent spaces checks the constant-dimension
-hypothesis under which the solution set has a well-defined dimension.
+A constraint family is the set of admissible Jacobians cut out by a
+defining function of the matrix alone, the same at every domain point.  The
+tangent space at an admissible matrix is the kernel of the defining
+function's derivative; running the chain on sampled tangent spaces checks
+the constant-dimension hypothesis under which the solution set has a
+well-defined dimension.
 """
 
 from dataclasses import dataclass, field
@@ -15,12 +16,7 @@ from math import comb
 import numpy as np
 
 from .config import TOLERANCES
-from .matspace import (
-    MatrixSubspace,
-    make_subspace,
-    nullspace_rows,
-    row_complement,
-)
+from .matspace import MatrixSubspace, make_subspace, nullspace_rows, row_complement
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import DeltaStatus, chain
 from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian, json_dimensions
@@ -32,12 +28,12 @@ class DegeneratePointError(ValueError):
 
 @dataclass
 class ConstraintFamily:
-    """Admissible-Jacobian set cut out by ``defining(x, A) = 0``.
+    """Admissible-Jacobian set cut out by ``defining(A) = 0``.
 
-    ``jacobian_fn(x, A)`` may supply the derivative of the residual in A as
-    a (residual_dim, m*n) matrix; otherwise central finite differences with
-    ``manifold_fd_step`` are used.  ``manifold_dim`` is the expected tangent
-    dimension, used to flag degenerate points.
+    Both functions read the matrix alone.  ``jacobian_fn(A)`` may supply
+    the derivative of ``defining`` as a (residual_dim, m*n) matrix; otherwise
+    central finite differences with ``manifold_fd_step`` are used.
+    ``manifold_dim`` is the expected tangent dimension, flagging degeneracy.
     """
 
     name: str
@@ -48,11 +44,6 @@ class ConstraintFamily:
     sample: callable                     # rng -> matrix on the constraint set
     base_point: np.ndarray
     jacobian_fn: callable = None
-
-    def residual(self, A, x=None) -> np.ndarray:
-        if x is None:
-            x = np.zeros(self.n)
-        return np.asarray(self.defining(x, np.asarray(A, dtype=float)), dtype=float)
 
 
 def _symmetric_basis(n: int, trace_free: bool) -> list:
@@ -110,10 +101,10 @@ def linear_family(V: MatrixSubspace, name: str = "custom-linear") -> ConstraintF
     """Family whose constraint set is the subspace V itself."""
     perp = row_complement(V.flat)
 
-    def defining(x, A):
+    def defining(A):
         return perp @ A.ravel()
 
-    def jac(x, A):
+    def jac(A):
         return perp
 
     def sample(rng):
@@ -128,59 +119,44 @@ def linear_family(V: MatrixSubspace, name: str = "custom-linear") -> ConstraintF
     )
 
 
+def _gram_family(name: str, n: int, target, trace_free: bool, manifold_dim: int, sample):
+    """Family ``A A^T = target`` read on an orthonormal symmetric basis: each
+    direction S gives the residual <A A^T - target, S> and its derivative,
+    the Jacobian row 2 S A (S is symmetric)."""
+    basis = _symmetric_basis(n, trace_free)
+
+    def defining(A):
+        R = A @ A.T - target
+        return np.array([np.sum(R * S) for S in basis])
+
+    def jac(A):
+        return np.array([(2.0 * S @ A).ravel() for S in basis])
+
+    return ConstraintFamily(
+        name=name, n=n, m=n, manifold_dim=manifold_dim,
+        defining=defining, jacobian_fn=jac, sample=sample, base_point=np.eye(n),
+    )
+
+
 def builtin_family(name: str, n: int, subspace: MatrixSubspace | None = None) -> ConstraintFamily:
     """Named constraint families; ``custom-linear`` wraps a given subspace.
 
-    conformal: A A^T proportional to the identity with positive determinant,
-    written as A A^T - (|A|_F^2 / n) I projected on trace-free symmetric
-    directions, which reproduces the tangent space {scalar + skew} at the
-    identity.  isometry: A A^T = I.  quaternion and holomorphic are linear.
+    isometry: A A^T = I on every symmetric direction.  conformal: A A^T
+    proportional to the identity, that is A A^T read on the trace-free
+    symmetric directions vanishes, which reproduces the tangent space
+    {scalar + skew} at the identity.  quaternion and holomorphic are linear.
     """
     if name == "isometry":
         if n < 1:
             raise ValueError("isometry needs n >= 1")
-        basis = _symmetric_basis(n, trace_free=False)
-
-        def defining(x, A):
-            R = A @ A.T - np.eye(n)
-            return np.array([np.sum(R * S) for S in basis])
-
-        def jac(x, A):
-            rows = []
-            for S in basis:
-                rows.append(((S + S.T) @ A).ravel())
-            return np.array(rows)
-
-        return ConstraintFamily(
-            name=name, n=n, m=n, manifold_dim=n * (n - 1) // 2,
-            defining=defining, jacobian_fn=jac,
-            sample=lambda rng: _rotation_sample(rng, n),
-            base_point=np.eye(n),
-        )
+        return _gram_family(name, n, np.eye(n), False, n * (n - 1) // 2,
+                            lambda rng: _rotation_sample(rng, n))
     if name == "conformal":
         if n < 2:
             raise ValueError("conformal needs n >= 2")
-        basis = _symmetric_basis(n, trace_free=True)
-
-        def defining(x, A):
-            R = A @ A.T - (np.sum(A * A) / n) * np.eye(n)
-            return np.array([np.sum(R * S) for S in basis])
-
-        def jac(x, A):
-            rows = []
-            for S in basis:
-                rows.append((((S + S.T) @ A) - (2.0 * np.trace(S) / n) * A).ravel())
-            return np.array(rows)
-
-        def sample(rng):
-            scale = float(np.exp(0.3 * rng.standard_normal()))
-            return scale * _rotation_sample(rng, n)
-
-        return ConstraintFamily(
-            name=name, n=n, m=n, manifold_dim=1 + n * (n - 1) // 2,
-            defining=defining, jacobian_fn=jac, sample=sample,
-            base_point=np.eye(n),
-        )
+        # the scale is drawn before the rotation
+        return _gram_family(name, n, 0.0, True, 1 + n * (n - 1) // 2, lambda rng: (
+            float(np.exp(0.3 * rng.standard_normal())) * _rotation_sample(rng, n)))
     if name == "quaternion":
         if n != 4:
             raise ValueError("the quaternion family lives in dimension 4")
@@ -196,18 +172,17 @@ def builtin_family(name: str, n: int, subspace: MatrixSubspace | None = None) ->
     raise ValueError(f"unknown family {name!r}")
 
 
-def tangent_space(family: ConstraintFamily, A, x=None) -> MatrixSubspace:
+def tangent_space(family: ConstraintFamily, A) -> MatrixSubspace:
     """Kernel of the defining function's derivative at an admissible A."""
     A = np.asarray(A, dtype=float)
     if A.shape != (family.m, family.n):
         raise ValueError("point has the wrong shape")
-    res = family.residual(A, x)
-    if np.linalg.norm(res) > TOLERANCES.on_manifold:
+    if not np.linalg.norm(family.defining(A)) <= TOLERANCES.on_manifold:  # NaN fails
         raise ValueError("the point does not lie on the constraint set")
     if family.jacobian_fn is not None:
-        J = np.asarray(family.jacobian_fn(x if x is not None else np.zeros(family.n), A))
+        J = np.asarray(family.jacobian_fn(A))
     else:
-        J = fd_jacobian(lambda a: family.residual(a.reshape(A.shape), x), A.ravel(),
+        J = fd_jacobian(lambda a: family.defining(a.reshape(A.shape)), A.ravel(),
                         TOLERANCES.manifold_fd_step)
     rows = nullspace_rows(J)
     if rows.shape[0] != family.manifold_dim:

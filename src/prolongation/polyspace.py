@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .matspace import MatrixSubspace, distance, nullspace_rows
+from .matspace import MatrixSubspace, distance
 from .prolong import ChainReport
-from .symtensor import HomPoly, PolyMap, fd_jacobian, hom_dim, jacobian, polymap_to_json
+from .symtensor import PolyMap, fd_jacobian, jacobian, polymap_to_json
 
 
 @dataclass
@@ -56,36 +56,21 @@ def solution_basis(V: MatrixSubspace, report: ChainReport) -> PolyBasis:
     return PolyBasis(report.n, report.m, elements, degrees)
 
 
-def _full_vector(F: PolyMap, max_degree: int) -> np.ndarray:
-    parts = [F.degree_component(k).coeff_vector() for k in range(max_degree + 1)]
-    return np.concatenate(parts)
-
-
 def reduced_basis(basis: PolyBasis) -> PolyBasis:
-    """Basis of the part of the span whose degree-1 component vanishes."""
-    if basis.dim == 0:
-        return PolyBasis(basis.n, basis.m, [], [])
-    n, m = basis.n, basis.m
-    top = max(max(F.max_degree() for F in basis.elements), 1)
-    rows = np.array([_full_vector(F, top) for F in basis.elements])
-    offsets = np.cumsum([0] + [hom_dim(n, m, k) for k in range(top + 1)])
-    lin_block = rows[:, offsets[1]:offsets[2]]
-    combos = nullspace_rows(lin_block.T)  # combinations with no linear part
-    new_rows = combos @ rows
-    new_rows[:, offsets[1]:offsets[2]] = 0.0
+    """Basis of the part of the span whose degree-1 component vanishes.
+
+    For a graded basis whose degree-1 elements are independent, as
+    ``solution_basis`` gives, that part is spanned by the elements of every
+    other degree, kept here in their order.
+    """
     elements, degrees = [], []
-    for row in new_rows:
-        comps = {}
-        for k in range(top + 1):
-            block = row[offsets[k]:offsets[k + 1]]
-            if np.any(block != 0.0):
-                comps[k] = HomPoly.from_coeff_vector(n, m, k, block)
-        if not comps:
-            comps = {0: HomPoly.zero(n, m, 0)}
-        F = PolyMap(n, m, comps)
-        elements.append(F)
-        degrees.append(F.max_degree())
-    return PolyBasis(n, m, elements, degrees)
+    for F, d in zip(basis.elements, basis.degrees):
+        if any(k != d and not p.is_zero() for k, p in F.components.items()):
+            raise ValueError(f"basis element is not homogeneous of degree {d}")
+        if d != 1:
+            elements.append(F)
+            degrees.append(d)
+    return PolyBasis(basis.n, basis.m, elements, degrees)
 
 
 @dataclass

@@ -98,8 +98,8 @@ class ChainReport:
     delta: DeltaStatus
     spaces: list = field(repr=False)
 
-    def to_json(self, include_bases: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "n": self.n,
             "m": self.m,
             "dim_v": self.dim_v,
@@ -107,13 +107,11 @@ class ChainReport:
             "alpha_total": int(self.alpha_total),
             "alpha_total_exact": self.alpha_total_exact,
             "delta": self.delta.to_json(),
-        }
-        if include_bases:
-            out["bases"] = [
+            "bases": [
                 [polymap_to_json(PolyMap(self.n, self.m, {sp.degree: p})) for p in sp.basis]
                 for sp in self.spaces
-            ]
-        return out
+            ],
+        }
 
 
 def constants_space(n: int, m: int) -> HomSolutionSpace:

@@ -90,6 +90,14 @@ def test_tangent_space_rejects_off_manifold_points():
         tangent_space(fam, 2 * np.eye(3))
 
 
+@pytest.mark.parametrize("name", ["isometry", "conformal"])
+def test_tangent_space_rejects_non_finite_points(name):
+    A = np.eye(3)
+    A[0, 0] = np.nan
+    with pytest.raises(ValueError, match="does not lie on the constraint set"):
+        tangent_space(builtin_family(name, 3), A)
+
+
 def test_tangent_space_flags_degenerate_points():
     fam = builtin_family("conformal", 3)
     # the apex of the cone satisfies the residual but the derivative drops rank
@@ -104,6 +112,20 @@ def test_finite_difference_jacobian_fallback(rng):
     fam.jacobian_fn = None
     numeric = tangent_space(fam, A)
     assert numeric.dim == analytic.dim == 4
+    assert max_principal_angle(analytic, numeric) <= 1e-6
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", ["isometry", "conformal"])
+def test_gram_family_jacobian_matches_finite_differences(name, n):
+    fam = builtin_family(name, n)
+    expected = skew_subspace(n) if name == "isometry" else conformal_subspace(n)
+    assert subspaces_equal(tangent_space(fam, np.eye(n)), expected, 1e-9)
+    A = fam.sample(np.random.default_rng([n, 5]))
+    analytic = tangent_space(fam, A)
+    fam.jacobian_fn = None
+    numeric = tangent_space(fam, A)
+    assert numeric.dim == analytic.dim == fam.manifold_dim
     assert max_principal_angle(analytic, numeric) <= 1e-6
 
 

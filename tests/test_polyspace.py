@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import conformal_subspace, skew_subspace
+from conftest import conformal_subspace, skew_subspace, well_conditioned
 from prolongation.matspace import distance, make_subspace, principal_angles_rows, subspaces_equal
 from prolongation.manifolds import quaternion_right_multiplications
-from prolongation.polyspace import reduced_basis, solution_basis, verify_membership
+from prolongation.polyspace import PolyBasis, reduced_basis, solution_basis, verify_membership
 from prolongation.prolong import chain, mk_direct
-from prolongation.symtensor import HomPoly, PolyMap, contract, jacobian, monomial_index
+from prolongation.symtensor import (
+    HomPoly, PolyMap, contract, jacobian, monomial_index, polymap_to_json,
+)
 
 
 def conformal_quadratic(axis, n=3):
@@ -100,6 +102,26 @@ def test_reduced_basis_has_exactly_zero_linear_part():
         vec = np.concatenate([F.degree_component(k).coeff_vector() for k in range(3)])
         residual = vec - full.T @ (full @ vec)
         assert np.linalg.norm(residual) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reduced_basis_is_the_non_linear_part_of_the_graded_basis(n):
+    rng = np.random.default_rng(n)
+    P, Q = well_conditioned(rng, n), well_conditioned(rng, n)
+    V = make_subspace(n, n, [P @ B @ Q for B in conformal_subspace(n).basis])
+    basis = solution_basis(V, chain(V, 6))
+    kept = [i for i, d in enumerate(basis.degrees) if d != 1]
+    red = reduced_basis(basis)
+    assert red.degrees == [basis.degrees[i] for i in kept] == [0] * n + [2] * n
+    assert [polymap_to_json(F) for F in red.elements] == [
+        polymap_to_json(basis.elements[i]) for i in kept]
+
+
+def test_reduced_basis_rejects_a_non_graded_basis():
+    mixed = PolyMap(2, 2, {0: HomPoly(2, 2, 0, np.ones((2, 1))), 1: HomPoly.zero(2, 2, 1)})
+    for degree in (1, 2):
+        with pytest.raises(ValueError):
+            reduced_basis(PolyBasis(2, 2, [mixed], [degree]))
 
 
 def test_verify_membership_conformal_elements():
