@@ -6,6 +6,7 @@ inconsistency.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -203,10 +204,17 @@ def _fixed(option: Option) -> Option:
     return option._replace(flag=None)
 
 
+def _default(fn, parameter: str):
+    """The library's default for one parameter of ``fn``; the CLI repeats
+    no default that the library already declares."""
+    return inspect.signature(fn).parameters[parameter].default
+
+
 INPUT = Option("--input", "input", dict(required=True, help="subspace file"))
-KMAX = Option("--kmax", "k_max", dict(type=_count, default=8))
-SEED = Option("--seed", "seed", dict(type=int, default=0))
-RESTARTS = Option("--restarts", "restarts", dict(type=_count, default=64))
+KMAX = Option("--kmax", "k_max", dict(type=_count, default=_default(chain, "k_max")))
+SEED = Option("--seed", "seed", dict(type=int, default=_default(find_witnesses, "seed")))
+RESTARTS = Option("--restarts", "restarts",
+                  dict(type=_count, default=_default(find_witnesses, "restarts")))
 COMMON = (
     Option("--out", "out", dict(default=None, help="write the report to this path"),
            report=False),
@@ -224,7 +232,8 @@ SUBCOMMANDS = {
         Option("--family", "family", dict(
             required=True, choices=("conformal", "isometry", "quaternion", "holomorphic"))),
         Option("--dim", "dim", dict(type=int, required=True)),
-        Option("--samples", "samples", dict(type=_count, default=20)),
+        Option("--samples", "samples",
+               dict(type=_count, default=_default(sample_analysis, "sample_count"))),
         Option("--emit-tangent", "emit_tangent", dict(
             action="store_true",
             help="write the base-point tangent space as a subspace file"), report=False),
@@ -233,9 +242,11 @@ SUBCOMMANDS = {
     "verify": (_cmd_verify, "sampled Jacobian membership check", (
         INPUT,
         Option("--poly", "poly", dict(required=True, help="polynomial file"), report=False),
-        Option("--samples", "samples", dict(type=_count, default=100)),
-        Option("--radius", "radius", dict(type=_positive, default=1.0)),
-        Option("--tol", "tol", dict(type=_positive, default=1e-9)),
+        Option("--samples", "samples",
+               dict(type=_count, default=_default(verify_membership, "samples"))),
+        Option("--radius", "radius",
+               dict(type=_positive, default=_default(verify_membership, "radius"))),
+        Option("--tol", "tol", dict(type=_positive, default=_default(verify_membership, "tol"))),
         SEED,
     )),
     "jet": (_cmd_jet, "truncated jet space through a first-order part", (

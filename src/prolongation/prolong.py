@@ -6,13 +6,21 @@ homogeneous polynomial maps whose slot matrices all lie in V; equivalently
 space.  The chain of dimensions alpha_k, their sum alpha and the largest
 nonzero degree delta are the invariants everything downstream consumes.
 
-Two routes are provided on purpose: :func:`mk_direct` assembles the full
-slot-membership system at a given degree, while :func:`mk_step` exploits
+Two constructions are provided on purpose: :func:`mk_direct` assembles the
+full slot-membership system at a given degree, while :func:`mk_step` exploits
 the derivative recursion and keeps each linear system small.  ``chain``
 uses the recursion; the direct route is retained as an independent oracle.
+
+The recursion has two exact forms, and :func:`mk_step` takes whichever is
+cheaper at each degree.  :func:`ambient_step` solves for all
+``m * C(n+k-1, k)`` coefficients of a degree-k map, which suits a space
+that fills most of its degree.  :func:`delta_step` solves for the
+coordinates of the partials in the previous degree's basis, Spencer's
+delta complex, whose size follows the dimension of the space instead.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -36,15 +44,23 @@ class HomSolutionSpace:
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
     up to the nullspace rank decisions.  ``perp`` holds orthonormal rows
-    spanning the orthogonal complement of ``rows``, which the next
-    recursion step needs; it comes from the same SVD as ``rows``.
+    spanning the orthogonal complement of ``rows``, which an ambient
+    recursion step needs.  An ambient step passes it in from the SVD that
+    gave ``rows``; otherwise it is computed on first use.
     """
 
     degree: int
     n: int
     m: int
     rows: np.ndarray
-    perp: np.ndarray
+    _perp: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def perp(self) -> np.ndarray:
+        if self._perp is None:
+            # a copy, so that the complement does not keep its SVD factor alive
+            self._perp = row_complement(self.rows).copy()
+        return self._perp
 
     @property
     def dim(self) -> int:
@@ -153,31 +169,108 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     return HomSolutionSpace(k, n, m, rows, perp_k)
 
 
+def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:
+    if prev.n != V.n or prev.m != V.m:
+        raise ValueError("previous space does not match the subspace dimensions")
+    return prev.degree + 1
+
+
+def _svd_flops(rows: int, cols: int) -> int:
+    """Flop estimate of ``row_space_and_kernel`` on a rows x cols system:
+    the reduction to bidiagonal form, plus the full ``vh`` of a wide one."""
+    small = min(rows, cols)
+    return rows * cols * small + (cols * cols * small if rows < cols else 0)
+
+
+def _delta_is_cheaper(prev: HomSolutionSpace) -> bool:
+    """Whether :func:`delta_step` factors less than :func:`ambient_step`
+    for the degree after ``prev``; the ambient estimate counts the
+    complement of ``prev`` when it has yet to be computed."""
+    n, m, k = prev.n, prev.m, prev.degree + 1
+    width_prev = m * comb(n + k - 2, k - 1)
+    ambient = _svd_flops(n * (width_prev - prev.dim), m * comb(n + k - 1, k))
+    if prev._perp is None:
+        ambient += _svd_flops(prev.dim, width_prev)
+    delta = _svd_flops(comb(n, 2) * m * comb(n + k - 3, k - 2), n * prev.dim)
+    return delta < ambient
+
+
+def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
+    """Degree k >= 2 maps whose partials lie in ``prev``, solved over all
+    m * C(n+k-1, k) coefficients.
+
+    The partial d_i p lies in ``prev`` iff ``prev.perp`` annihilates its
+    coefficients.  The kernel of that system is the degree-k space and its
+    row space the next complement; both are copied out of the SVD factor,
+    so the space does not keep the whole factor alive.
+    """
+    k = _step_degree(V, prev)
+    if k < 2:
+        raise ValueError("the recursion characterizes degrees >= 2")
+    n, m = V.n, V.m
+    width = m * comb(n + k - 1, k)
+    # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
+    r = prev.perp.shape[0]
+    perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
+    system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
+    perp_k, rows = row_space_and_kernel(system)
+    return HomSolutionSpace(k, n, m, rows.copy(), perp_k.copy())
+
+
+def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
+    """Degree k >= 2 maps whose partials lie in ``prev``, solved in the
+    coordinates of ``prev``'s basis.
+
+    The unknowns are the coordinates c_i of q_i = d_i p in ``prev.rows``,
+    n * dim(prev) of them.  The q_i are the partials of one map iff
+    d_j q_i = d_i q_j for every i < j, and that map is
+    p = (1/k) sum_i x_i q_i by Euler's formula.  The lifted kernel is
+    orthonormalized by QR, so the step still runs a single SVD.
+    """
+    k = _step_degree(V, prev)
+    if k < 2:
+        raise ValueError("the recursion characterizes degrees >= 2")
+    n, m, dim = V.n, V.m, prev.dim
+    above = comb(n + k - 2, k - 1)
+    basis = prev.rows.reshape(dim, m, above)
+    below = m * comb(n + k - 3, k - 2)
+    # partials[j] sends c_i to the degree-(k-2) coefficients of d_j q_i
+    partials = [(basis @ derivative_op(n, k - 1, j).T).reshape(dim, below).T
+                for j in range(n)]
+    pairs = list(combinations(range(n), 2))
+    system = np.zeros((len(pairs) * below, n * dim))
+    for block, (i, j) in enumerate(pairs):
+        band = system[block * below:(block + 1) * below]
+        band[:, i * dim:(i + 1) * dim] = partials[j]
+        band[:, j * dim:(j + 1) * dim] = -partials[i]
+    _, kernel = row_space_and_kernel(system)
+    q = (kernel.reshape(len(kernel), n, dim) @ prev.rows).reshape(len(kernel), n, m, above)
+    monomials = comb(n + k - 1, k)
+    lifted = np.zeros((len(kernel), m, monomials))
+    for i in range(n):
+        # each row of d/dx_i has one nonzero, in the column of x_i times its monomial
+        lifted[:, :, np.argmax(derivative_op(n, k, i), axis=1)] += q[:, i] / k
+    orthonormal, _ = np.linalg.qr(lifted.reshape(len(kernel), m * monomials).T)
+    return HomSolutionSpace(k, n, m, np.ascontiguousarray(orthonormal.T))
+
+
 def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     """One recursion step: degree k maps whose partials lie in ``prev``.
 
     The recursion only characterizes degrees >= 2; from the constants it
     returns V itself as linear maps, which is the degree-1 space by
-    definition.
+    definition.  Above that, the step runs :func:`delta_step` or
+    :func:`ambient_step`, whichever factors the fewer flops.
     """
+    k = _step_degree(V, prev)
     n, m = V.n, V.m
-    if prev.n != n or prev.m != m:
-        raise ValueError("previous space does not match the subspace dimensions")
-    k = prev.degree + 1
     if prev.degree == 0:
         # a degree-1 coefficient vector is exactly the flattened matrix
-        return HomSolutionSpace(1, n, m, V.flat.copy(), row_complement(V.flat))
-    width = m * comb(n + k - 1, k)
+        return HomSolutionSpace(1, n, m, V.flat.copy())
     if prev.dim == 0:
         # derivatives of a nonzero homogeneous map cannot all vanish
-        return HomSolutionSpace(k, n, m, np.zeros((0, width)), np.eye(width))
-    # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
-    r = prev.perp.shape[0]
-    perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
-    # the partial d_i p lies in prev iff perp annihilates its coefficients
-    system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
-    perp_k, rows = row_space_and_kernel(system)
-    return HomSolutionSpace(k, n, m, rows, perp_k)
+        return HomSolutionSpace(k, n, m, np.zeros((0, m * comb(n + k - 1, k))))
+    return (delta_step if _delta_is_cheaper(prev) else ambient_step)(V, prev)
 
 
 def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     conformal_subspace,
@@ -9,9 +10,12 @@ from conftest import (
     well_conditioned,
 )
 from prolongation.matspace import conjugate, make_subspace, principal_angles_rows
+import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
+    ambient_step,
     chain,
     constants_space,
+    delta_step,
     membership_residual,
     mk_direct,
     mk_step,
@@ -142,6 +146,143 @@ def test_mk_step_runs_one_svd_and_reuses_the_previous_complement(rng, monkeypatc
         spaces.append(mk_step(V, spaces[-1]))
         assert len(calls) == 1
     assert spaces[-1].dim > 0
+
+
+def conjugated_plane(rng, m, n):
+    return conjugate(complex_structure_plane(m, n), well_conditioned(rng, m),
+                     well_conditioned(rng, n))
+
+
+def maps_into(n, m, u):
+    """All linear maps R^n -> R^m with image in the first u coordinates."""
+    units = np.eye(m * n).reshape(-1, m, n)
+    return make_subspace(n, m, [E for E in units if E[:u].any()])
+
+
+def record_routes(monkeypatch):
+    routes = []
+    for name in ("delta_step", "ambient_step"):
+        step = getattr(prolong_mod, name)
+        monkeypatch.setattr(prolong_mod, name,
+                            lambda V, prev, step=step, name=name:
+                            routes.append(name) or step(V, prev))
+    return routes
+
+
+def test_mk_step_delta_route_runs_one_svd_and_no_complement(rng, monkeypatch):
+    V = conjugated_plane(rng, 3, 3)
+    spaces = run_step_chain(V, 1)
+    routes = record_routes(monkeypatch)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    monkeypatch.setattr(prolong_mod, "row_complement", None)
+    for _ in range(4):
+        calls.clear()
+        spaces.append(mk_step(V, spaces[-1]))
+        assert len(calls) == 1
+    assert routes == ["delta_step"] * 4
+    assert [space.dim for space in spaces] == [3, 2, 2, 2, 2, 2]
+
+
+def test_ambient_step_reuses_the_complement_of_an_ambient_step(monkeypatch):
+    V = trace_free_subspace(3)
+    prev = ambient_step(V, mk_step(V, constants_space(3, 3)))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    monkeypatch.setattr(prolong_mod, "row_complement", None)
+    for _ in range(2):
+        calls.clear()
+        prev = ambient_step(V, prev)
+        assert len(calls) == 1
+    assert prev.dim == 35
+
+
+def step_route_corpus(rng):
+    """(V, previous space) pairs: n = 1, dead previous spaces, tall and wide
+    degrees, and the spaces of a chain that switches route."""
+    cases = []
+    for m in (1, 2, 3):
+        V = random_subspace(rng, 1, m, int(rng.integers(1, m + 1)))
+        cases += [(V, space) for space in chain(V, 4).spaces[1:]]
+    for V in (skew_subspace(3), conformal_subspace(3), quaternion_right_multiplications()):
+        cases += [(V, mk_direct(V, k)) for k in range(1, 4)]
+    assert any(prev.dim == 0 for _, prev in cases)
+    for V, k_max in ((conjugated_plane(rng, 3, 3), 5), (trace_free_subspace(3), 3),
+                     (conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5),
+                                well_conditioned(rng, 2)), 3)):
+        cases += [(V, space) for space in chain(V, k_max).spaces[1:]]
+    for _ in range(8):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        V = random_subspace(rng, n, m, int(rng.integers(1, m * n)))
+        cases += [(V, space) for space in chain(V, 3).spaces[1:]]
+    return cases
+
+
+def test_delta_and_ambient_steps_both_match_mk_direct(rng):
+    for V, prev in step_route_corpus(rng):
+        direct = mk_direct(V, prev.degree + 1)
+        for step in (delta_step, ambient_step):
+            space = step(V, prev)
+            assert space.degree == direct.degree
+            assert spaces_match(space, direct), (step.__name__, V.n, V.m, V.dim, prev.degree)
+
+
+def test_steps_reject_the_degree_one_step(rng):
+    V = random_subspace(rng, 2, 2, 2)
+    for step in (delta_step, ambient_step):
+        with pytest.raises(ValueError):
+            step(V, constants_space(2, 2))
+
+
+def test_chain_switches_from_the_delta_to_the_ambient_route(rng, monkeypatch):
+    V = conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5), well_conditioned(rng, 2))
+    routes = record_routes(monkeypatch)
+    report = chain(V, 4)
+    assert routes == ["delta_step", "ambient_step", "ambient_step"]
+    assert report.alpha == [5, 8, 12, 16, 20]
+    for space in report.spaces:
+        assert spaces_match(space, mk_direct(V, space.degree)), space.degree
+        assert_complement_invariants(space)
+
+
+def test_spaces_do_not_pin_their_svd_factors(monkeypatch):
+    # every degree above 2 of trace-free 4 solves the ambient system, whose
+    # SVD factor is as wide as the degree
+    routes = record_routes(monkeypatch)
+    report = chain(trace_free_subspace(4), 4)
+    assert routes[1:] == ["ambient_step"] * 2
+    for space in report.spaces:
+        for array in (space.rows, space._perp):
+            if array is not None:
+                assert array.base is None or array.base.nbytes <= array.nbytes, space.degree
+
+
+def test_chain_cost_scales_with_alpha_on_a_tall_chain(rng, monkeypatch):
+    V = conjugated_plane(rng, 5, 5)
+    widths = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: widths.append(np.shape(a)[-1]) or svd(a, *args, **kw))
+    report = chain(V, 8)
+    assert report.alpha == [5] + [2] * 8
+    # the ambient system at k = 8 is 2475 columns wide
+    assert widths and max(widths) <= 64
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), data=st.data())
+def test_alpha_is_invariant_under_conjugation_and_matches_mk_direct(n, m, data):
+    dim = data.draw(st.integers(0, m * n), label="dim")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    V = random_subspace(rng, n, m, dim)
+    alpha = chain(V, 4).alpha
+    assert chain(conjugate(V, well_conditioned(rng, m), well_conditioned(rng, n)), 4).alpha == alpha
+    direct = [mk_direct(V, k).dim for k in range(5)]
+    assert alpha == direct[:len(alpha)]
+    assert all(d == 0 for d in direct[len(alpha):])
 
 
 def test_mk_step_rejects_mismatched_dimensions(rng):
