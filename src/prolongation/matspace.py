@@ -35,6 +35,17 @@ def row_space_and_kernel(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[:rank], vh[rank:]
 
 
+def row_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the row space of A, shape (rank, A.shape[1]),
+    from one thin SVD.  The rows are copied out of the factor, so they do
+    not keep it alive."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] == 0:
+        return np.zeros((0, A.shape[1]))
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[:rank_from_singular_values(s)].copy()
+
+
 def nullspace_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {x : A x = 0}; shape (dim_null, A.shape[1])."""
     return row_space_and_kernel(A)[1]

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .matspace import MatrixSubspace, distance, row_complement, row_space_and_kernel
+from .matspace import MatrixSubspace, distance, row_complement, row_space, row_space_and_kernel
 from .symtensor import (
     HomPoly,
     derivative_op,
@@ -37,6 +37,14 @@ from .symtensor import (
 from math import comb, factorial
 
 
+def _complement(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the orthogonal complement of an orthonormal
+    stack, from a complete QR: the stack has full rank, so no rank is
+    decided.  A copy, so that it does not keep the square factor alive."""
+    q, _ = np.linalg.qr(stack.T, mode="complete")
+    return q[:, stack.shape[0]:].T.copy()
+
+
 @dataclass
 class HomSolutionSpace:
     """Space of admissible homogeneous maps of one degree.
@@ -44,27 +52,34 @@ class HomSolutionSpace:
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
     up to the nullspace rank decisions.  ``perp`` holds orthonormal rows
-    spanning the orthogonal complement of ``rows``, which an ambient
-    recursion step needs.  An ambient step passes it in from the SVD that
-    gave ``rows``; otherwise it is computed on first use.
+    spanning the orthogonal complement of ``rows``.  A step stores the half
+    it produced, ``_rows`` or ``_perp``; the other half is built from it on
+    first use and kept.
     """
 
     degree: int
     n: int
     m: int
-    rows: np.ndarray
+    _rows: np.ndarray | None = field(default=None, repr=False)
     _perp: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = _complement(self._perp)
+        return self._rows
 
     @property
     def perp(self) -> np.ndarray:
         if self._perp is None:
-            # a copy, so that the complement does not keep its SVD factor alive
-            self._perp = row_complement(self.rows).copy()
+            self._perp = _complement(self._rows)
         return self._perp
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        if self._rows is not None:
+            return self._rows.shape[0]
+        return self._perp.shape[1] - self._perp.shape[0]
 
     @property
     def basis(self) -> list:
@@ -166,7 +181,7 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
         blocks.append(rows)
     system = np.vstack(blocks)
     perp_k, rows = row_space_and_kernel(system)
-    return HomSolutionSpace(k, n, m, rows, perp_k)
+    return HomSolutionSpace(k, n, m, rows.copy(), perp_k.copy())
 
 
 def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:
@@ -177,21 +192,26 @@ def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:
 
 def _svd_flops(rows: int, cols: int) -> int:
     """Flop estimate of ``row_space_and_kernel`` on a rows x cols system:
-    the reduction to bidiagonal form, plus the full ``vh`` of a wide one."""
+    the reduction to bidiagonal form, plus the full ``vh`` of a wide one.
+    The ambient route's thin SVD builds no full ``vh``, so its estimate
+    overstates that route; where the ambient route wins, it wins by more."""
     small = min(rows, cols)
     return rows * cols * small + (cols * cols * small if rows < cols else 0)
 
 
 def _delta_is_cheaper(prev: HomSolutionSpace) -> bool:
     """Whether :func:`delta_step` factors less than :func:`ambient_step`
-    for the degree after ``prev``; the ambient estimate counts the
-    complement of ``prev`` when it has yet to be computed."""
+    for the degree after ``prev``; each estimate counts the half of
+    ``prev`` its route reads when it has yet to be computed."""
     n, m, k = prev.n, prev.m, prev.degree + 1
     width_prev = m * comb(n + k - 2, k - 1)
     ambient = _svd_flops(n * (width_prev - prev.dim), m * comb(n + k - 1, k))
     if prev._perp is None:
         ambient += _svd_flops(prev.dim, width_prev)
     delta = _svd_flops(comb(n, 2) * m * comb(n + k - 3, k - 2), n * prev.dim)
+    if prev._rows is None:
+        # the complete QR that builds the basis from the complement
+        delta += width_prev * width_prev * (width_prev - prev.dim)
     return delta < ambient
 
 
@@ -200,9 +220,9 @@ def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     m * C(n+k-1, k) coefficients.
 
     The partial d_i p lies in ``prev`` iff ``prev.perp`` annihilates its
-    coefficients.  The kernel of that system is the degree-k space and its
-    row space the next complement; both are copied out of the SVD factor,
-    so the space does not keep the whole factor alive.
+    coefficients.  The kernel of that system is the degree-k space, and a
+    thin SVD gives its row space, the complement of that space, which is
+    all the step stores.
     """
     k = _step_degree(V, prev)
     if k < 2:
@@ -213,8 +233,7 @@ def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     r = prev.perp.shape[0]
     perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
     system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
-    perp_k, rows = row_space_and_kernel(system)
-    return HomSolutionSpace(k, n, m, rows.copy(), perp_k.copy())
+    return HomSolutionSpace(k, n, m, _perp=row_space(system))
 
 
 def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:

@@ -13,6 +13,7 @@ from prolongation.matspace import (
     principal_angles_rows,
     project,
     rank_from_singular_values,
+    row_space,
     row_space_and_kernel,
     subspace_from_json,
     subspace_to_json,
@@ -183,3 +184,17 @@ def test_nullspace_rows_of_a_tall_matrix_skips_the_left_factor(rng):
         tracemalloc.stop()
     assert kernel.shape == (1, 30)
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (7, 40, 7), (6, 15, 3), (40, 7, 7), (12, 12, 5), (0, 6, 0), (5, 5, 0), (3, 0, 0)],
+    ids=["wide", "wide-deficient", "tall", "square-deficient", "zero-row", "zero",
+         "zero-column"])
+def test_row_space_is_the_row_space_half_and_owns_its_rows(rng, rows, cols, rank):
+    A = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    rows_only = row_space(A)
+    assert rows_only.shape == (rank, cols)
+    assert rows_only.base is None or rows_only.base.nbytes <= rows_only.nbytes
+    assert np.linalg.norm(rows_only @ rows_only.T - np.eye(rank)) <= 1e-12
+    angles = principal_angles_rows(rows_only, row_space_and_kernel(A)[0])
+    assert angles.size == 0 or angles[0] <= 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from prolongation.prolong import (
 )
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.obstruct import complex_structure_plane
-from prolongation.symtensor import hom_dim
+from prolongation.symtensor import derivative_op, hom_dim
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -257,6 +259,64 @@ def test_spaces_do_not_pin_their_svd_factors(monkeypatch):
         for array in (space.rows, space._perp):
             if array is not None:
                 assert array.base is None or array.base.nbytes <= array.nbytes, space.degree
+
+
+def test_mk_direct_does_not_pin_its_svd_factor():
+    space = mk_direct(complex_structure_plane(4, 4), 6)
+    assert space.dim == 2
+    for array in (space.rows, space.perp):
+        assert array.base is None or array.base.nbytes <= array.nbytes
+
+
+def test_wide_ambient_step_stores_only_its_complement(monkeypatch):
+    # trace-free 6 from degree 4 to 5: a 336 x 1512 system whose kernel,
+    # the 1386-row basis, is 16.8 MB
+    V = trace_free_subspace(6)
+    prev = chain(V, 4).spaces[-1]
+    prev.perp  # the complement the step reads, built before the measurement
+    for i in range(6):
+        # the derivative operators are cached across calls; measure the step alone
+        derivative_op(6, 5, i)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True, **kw:
+                        shapes.append((np.shape(a), full_matrices))
+                        or svd(a, full_matrices=full_matrices, **kw))
+    tracemalloc.start()
+    try:
+        space = ambient_step(V, prev)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 1386
+    assert shapes == [((336, 1512), False)]
+    assert peak <= 16e6
+    assert retained <= 5e6
+
+
+def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no SVD or row complement may run")
+
+    cases = [(trace_free_subspace(3), 2),
+             (conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5),
+                        well_conditioned(rng, 2)), 2)]
+    for V, degree in cases:
+        prev = chain(V, degree).spaces[-1]
+        direct, direct_next = mk_direct(V, degree + 1), mk_direct(V, degree + 2)
+        space = ambient_step(V, prev)
+        assert space._rows is None
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", refuse)
+            patch.setattr(prolong_mod, "row_complement", refuse)
+            assert space.dim == direct.dim
+            assert_complement_invariants(space)
+        assert spaces_match(space, direct)
+        # the ambient-to-delta switch builds the basis it factors from the complement
+        fresh = ambient_step(V, prev)
+        with monkeypatch.context() as patch:
+            patch.setattr(prolong_mod, "row_complement", refuse)
+            assert spaces_match(delta_step(V, fresh), direct_next)
 
 
 def test_chain_cost_scales_with_alpha_on_a_tall_chain(rng, monkeypatch):
