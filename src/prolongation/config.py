@@ -29,6 +29,8 @@ class Tolerances:
     certificate: float = 1e-7         # complex-pair conditions (rank, gaps, square)
     certificate_distance: float = 1e-8  # distance of the pair elements from V
     quarter_turn_det: float = 1e-10   # |det S| below which the pair's frame is rejected
+    polish_zero_norm: float = 1e-14   # rank-one polish stops when V's projection vanishes
+    polish_step: float = 1e-15        # rank-one polish stops when a step moves X less
 
     # derivative and manifold checks
     fd_step: float = 1e-5             # central finite-difference step for Jacobians

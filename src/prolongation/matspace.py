@@ -8,7 +8,6 @@ rank decisions.  Every rank/nullspace decision in the package funnels through
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .config import TOLERANCES
 from .symtensor import json_dimensions
@@ -56,13 +55,38 @@ def row_complement(B: np.ndarray) -> np.ndarray:
     return nullspace_rows(B)
 
 
+def _orth(A: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of A, dropping singular values
+    at or below eps * max(A.shape) * sigma_1."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    # in the column-major order LAPACK returns, so that the products taken
+    # from it round as scipy's do
+    return np.asfortranarray(u[:, :np.sum(s > tol, dtype=int)])
+
+
 def principal_angles_rows(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, largest first) between two row-orthonormal
-    stacks.  Uses the sine-based formulation so angles near zero are resolved
-    below the square root of machine precision."""
+    """Principal angles (radians, largest first) between the row spans of two
+    stacks, by Knyazev and Argentati (SIAM J. Sci. Comput. 23, 2002), step
+    for step as ``scipy.linalg.subspace_angles`` computes them.  Angles whose
+    cosine has sigma^2 >= 1/2 come from the singular values of the residual
+    of one basis against the other (their sines), the rest from the cosines,
+    so angles near zero are resolved below the square root of machine
+    precision."""
     if B1.shape[0] == 0 or B2.shape[0] == 0:
         return np.zeros(0)
-    return subspace_angles(np.asarray(B1).T, np.asarray(B2).T)
+    QA, QB = _orth(np.asarray(B1).T), _orth(np.asarray(B2).T)
+    cross = np.dot(QA.T, QB)
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if QA.shape[1] >= QB.shape[1]:
+        residual = QB - np.dot(QA, cross)
+    else:
+        residual = QA - np.dot(QB, cross.T)
+    mask = sigma ** 2 >= 0.5
+    sines = 0.0
+    if mask.any():
+        sines = np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), -1.0, 1.0))
+    return np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
 @dataclass

@@ -12,7 +12,6 @@ a proof of finiteness.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import TOLERANCES
 from .matspace import (
@@ -86,6 +85,17 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(restart)])
 
 
+def __getattr__(name: str):
+    """Import ``scipy.optimize.minimize`` on first use, so that importing the
+    package needs numpy alone; it is cached in the module namespace, where
+    :func:`find_rank_one` looks it up on every call."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # --- rank-one detector ----------------------------------------------------
 
 def _rank_one_polish(V: MatrixSubspace, X: np.ndarray, iters: int = 120):
@@ -96,10 +106,10 @@ def _rank_one_polish(V: MatrixSubspace, X: np.ndarray, iters: int = 120):
         rank_one = s[0] * np.outer(u[:, 0], vt[0])
         Y = np.tensordot(V.flat @ rank_one.ravel(), V.basis, axes=1)
         norm = np.linalg.norm(Y)
-        if norm < 1e-14:
+        if norm < TOLERANCES.polish_zero_norm:
             return X
         Y = Y / norm
-        if np.linalg.norm(Y - X) < 1e-15:
+        if np.linalg.norm(Y - X) < TOLERANCES.polish_step:
             return Y
         X = Y
     return X
@@ -126,6 +136,9 @@ def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
         s = np.linalg.svd(V.element(c / norm), compute_uv=False)
         return float(s[1] / s[0]) if s[0] > 0 else 1.0
 
+    # read from the namespace on each call: a wrapper assigned to
+    # ``obstruct.minimize`` is the one that runs
+    minimize = globals().get("minimize") or __getattr__("minimize")
     best_ratio = np.inf
     best_matrix = None
     for r in range(restarts):

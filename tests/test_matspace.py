@@ -198,3 +198,51 @@ def test_row_space_is_the_row_space_half_and_owns_its_rows(rng, rows, cols, rank
     assert np.linalg.norm(rows_only @ rows_only.T - np.eye(rank)) <= 1e-12
     angles = principal_angles_rows(rows_only, row_space_and_kernel(A)[0])
     assert angles.size == 0 or angles[0] <= 1e-12
+
+
+def _angle_cases(rng):
+    """Seeded pairs of stacks: orthonormal, near-equal with planted angles in
+    [1e-16, 1e-8], non-orthonormal, rank-deficient, and one side empty."""
+    for case in range(2400):
+        N = int(rng.integers(2, 41))
+        k1, k2 = (int(k) for k in rng.integers(1, N + 1, size=2))
+        kind = case % 5
+        if kind == 0:
+            yield (np.linalg.qr(rng.standard_normal((N, k1)))[0].T,
+                   np.linalg.qr(rng.standard_normal((N, k2)))[0].T)
+        elif kind == 1:
+            k = max(1, min(k1, N // 2))
+            Q = np.linalg.qr(rng.standard_normal((N, 2 * k)))[0]
+            theta = 10.0 ** rng.uniform(-16, -8, size=k)
+            yield Q[:, :k].T, (np.cos(theta) * Q[:, :k] + np.sin(theta) * Q[:, k:]).T
+        elif kind == 2:
+            yield (rng.standard_normal((k1, N)) * 10.0 ** rng.uniform(-3, 3),
+                   rng.standard_normal((k2, N)))
+        elif kind == 3:
+            r = int(rng.integers(0, min(k1, N) + 1))
+            yield (rng.standard_normal((k1, r)) @ rng.standard_normal((r, N)),
+                   rng.standard_normal((k2, N)))
+        else:
+            yield np.zeros((0, N)), rng.standard_normal((k2, N))
+
+
+def test_principal_angles_match_scipy(rng):
+    from scipy.linalg import subspace_angles
+
+    for B1, B2 in _angle_cases(rng):
+        for X, Y in ((B1, B2), (B2, B1)):
+            ours = principal_angles_rows(X, Y)
+            oracle = subspace_angles(X.T, Y.T)
+            assert ours.shape == oracle.shape
+            small = oracle < np.pi / 4
+            assert np.array_equal(ours[small], oracle[small])
+            assert np.all(np.abs(ours - oracle) <= 1e-12)
+
+
+def test_principal_angles_resolve_planted_small_angles(rng):
+    Q = np.linalg.qr(rng.standard_normal((12, 6)))[0]
+    theta = np.array([1e-9, 1e-12, 1e-15])
+    angles = principal_angles_rows(Q[:, :3].T, (np.cos(theta) * Q[:, :3]
+                                                + np.sin(theta) * Q[:, 3:]).T)
+    # the cosine alone would read 0 for all three
+    assert np.all(np.abs(angles - theta) <= 1e-15)
