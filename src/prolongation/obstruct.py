@@ -4,11 +4,12 @@ A subspace V of m-by-n matrices supports an infinite-dimensional solution
 family exactly when it contains a rank-one operator psi (x) w, or a 2-plane
 of the form P W Q where W is spanned by the identity and the rotation by
 ninety degrees acting on a fixed 2-plane (padded by zeros) and P, Q are
-invertible.  The detectors below are best-effort multi-start searches whose
-positive results are certified; absence of a witness is inconclusive, never
-a proof of finiteness.
+invertible.  Both are rank-one elements of V (x) C.  The detector below is
+one best-effort multi-start search there, whose positive results are
+certified; absence of a witness is inconclusive, never a proof of finiteness.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,9 +87,9 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
 
 
 def __getattr__(name: str):
-    """Import ``scipy.optimize.minimize`` on first use, so that importing the
-    package needs numpy alone; it is cached in the module namespace, where
-    :func:`find_rank_one` looks it up on every call."""
+    """Import ``scipy.optimize.minimize`` on first use and cache it in the
+    module namespace.  Nothing in the library calls it any more; the
+    attribute resolves for callers that still read ``obstruct.minimize``."""
     if name == "minimize":
         from scipy.optimize import minimize
         globals()["minimize"] = minimize
@@ -96,73 +97,102 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# --- rank-one detector ----------------------------------------------------
+# --- the rank-one search in V (x) C ----------------------------------------
 
-def _rank_one_polish(V: MatrixSubspace, X: np.ndarray, iters: int = 120):
-    """Alternate between the rank-one cone and V, or V (x) C when X is
-    complex; returns the refined matrix."""
-    for _ in range(iters):
-        u, s, vt = np.linalg.svd(X)
-        rank_one = s[0] * np.outer(u[:, 0], vt[0])
-        Y = np.tensordot(V.flat @ rank_one.ravel(), V.basis, axes=1)
+def _polish(V: MatrixSubspace, X: np.ndarray) -> np.ndarray:
+    """Polish a unit element X of V (x) C toward the rank-one cone.
+
+    Alternating projection between the cone and V runs while sigma_2/sigma_1
+    halves at least once every ``polish_stall_window`` steps.  Once the
+    ratio is below ``polish_newton_ratio``, Newton steps intersect V with the
+    projective tangent plane of the cone at the nearest rank-one matrix,
+    while the ratio falls; the best iterate is returned.
+    """
+    tol = TOLERANCES
+    mark = np.inf
+    for step in itertools.count():
+        u, s, vh = np.linalg.svd(X)
+        ratio = s[1] / s[0]
+        if ratio < tol.polish_newton_ratio:
+            break
+        if step % tol.polish_stall_window == 0:
+            if ratio > mark / 2:
+                return X
+            mark = ratio
+        Y = np.tensordot(V.flat @ (s[0] * np.outer(u[:, 0], vh[0])).ravel(), V.basis, axes=1)
         norm = np.linalg.norm(Y)
-        if norm < TOLERANCES.polish_zero_norm:
+        if norm < tol.polish_zero_norm:
             return X
         Y = Y / norm
-        if np.linalg.norm(Y - X) < TOLERANCES.polish_step:
+        if np.linalg.norm(Y - X) < tol.polish_step:
             return Y
         X = Y
-    return X
+    best, best_ratio = X, ratio
+    while True:
+        # tangent directions u_k vh_0^T and u_0 vh_l^T with k, l >= 1
+        tangent = np.concatenate([u[:, 1:].T[:, :, None] * vh[0],
+                                  u[:, 0][:, None] * vh[1:, None, :]])
+        system = np.hstack([V.flat.T, -tangent.reshape(len(tangent), -1).T])
+        target = s[0] * np.outer(u[:, 0], vh[0]).ravel()
+        coef = np.linalg.lstsq(system, target, rcond=None)[0][:V.dim]
+        X = np.tensordot(coef, V.basis, axes=1)
+        X /= np.linalg.norm(X)
+        u, s, vh = np.linalg.svd(X)
+        ratio = s[1] / s[0]
+        if not ratio < best_ratio:
+            return best
+        best, best_ratio = X, ratio
+
+
+def _search(V: MatrixSubspace, seed: int, restarts: int):
+    """Multi-start search of V (x) C for rank-one elements, yielding both
+    witnesses; returns ``(rank_one, complex_pair)``, each None when nothing
+    verified.
+
+    Each restart polishes a random complex combination X of the basis.  The
+    phase is rotated out, ``R = Re(X exp(-i theta))`` with ``theta`` half the
+    argument of the sum of the squared entries, and the R with the least
+    sigma_2/sigma_1 over all restarts is offered to :func:`verify_rank_one`.
+    A complex rank-one element z zeta^T of V (x) C, with z = a + ib and
+    zeta = c + id, has real and imaginary parts [a b] diag(1, -1) [c d]^T and
+    [a b] [[0, 1], [1, 0]] [c d]^T; unless a factor is real up to a phase,
+    they span a plane equivalent to the reference one, so the first
+    (Re X, Im X) that passes :func:`verify_complex_pair` is kept.
+    """
+    if min(V.m, V.n) < 2:
+        # a nonzero row or column matrix is already rank one
+        witness = _extract_rank_one(V, V.basis[0])
+        return (witness if verify_rank_one(V, witness) else None), None
+    best_ratio, best, pair = np.inf, None, None
+    for r in range(restarts):
+        rng = _restart_rng(seed, r)
+        c = np.empty(V.dim, dtype=complex)
+        c.real, c.imag = rng.standard_normal((2, V.dim))
+        X = _polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
+        R = (X * np.exp(-0.5j * np.angle(np.sum(X * X)))).real
+        s = np.linalg.svd(R, compute_uv=False)
+        if s[1] / s[0] < best_ratio:
+            best_ratio, best = s[1] / s[0], R
+        if pair is None and V.dim >= 2:
+            candidate = ComplexPairWitness(A=X.real, B=X.imag)
+            if verify_complex_pair(V, candidate):
+                pair = candidate
+    if best_ratio < TOLERANCES.rank_one_ratio:
+        witness = _extract_rank_one(V, best)
+        if verify_rank_one(V, witness):
+            return witness, pair
+    return None, pair
 
 
 def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for a rank-one element; return a certified witness or None.
 
-    Multi-start simplex descent on sigma_2/sigma_1 of unit combinations of
-    the basis, followed by an alternating-projection polish.  A candidate is
-    returned only when it passes :func:`verify_rank_one`.
+    The rank-one half of :func:`_search`: a candidate is returned only when
+    it passes :func:`verify_rank_one`.
     """
     if V.dim < 1:
         raise ValueError("the subspace must have dimension >= 1")
-    if min(V.m, V.n) < 2:
-        # a nonzero row or column matrix is already rank one
-        witness = _extract_rank_one(V, V.basis[0])
-        return witness if verify_rank_one(V, witness) else None
-
-    def objective(c):
-        norm = np.linalg.norm(c)
-        if norm < 1e-12:
-            return 1.0
-        s = np.linalg.svd(V.element(c / norm), compute_uv=False)
-        return float(s[1] / s[0]) if s[0] > 0 else 1.0
-
-    # read from the namespace on each call: a wrapper assigned to
-    # ``obstruct.minimize`` is the one that runs
-    minimize = globals().get("minimize") or __getattr__("minimize")
-    best_ratio = np.inf
-    best_matrix = None
-    for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        x0 = rng.standard_normal(V.dim)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": 200 + 40 * V.dim, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        norm = np.linalg.norm(res.x)
-        if norm < 1e-12:
-            continue
-        X = _rank_one_polish(V, V.element(res.x / norm))
-        s = np.linalg.svd(X, compute_uv=False)
-        ratio = s[1] / s[0] if s[0] > 0 else 1.0
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_matrix = X
-    if best_matrix is None or best_ratio >= TOLERANCES.rank_one_ratio:
-        return None
-    witness = _extract_rank_one(V, best_matrix)
-    return witness if verify_rank_one(V, witness) else None
+    return _search(V, seed, restarts)[0]
 
 
 def _extract_rank_one(V: MatrixSubspace, X: np.ndarray) -> RankOneWitness:
@@ -190,26 +220,14 @@ def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness) -> bool:
 def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for an embedded plane equivalent to the reference one.
 
-    A complex rank-one element z zeta^T of V (x) C, with z = a + ib and
-    zeta = c + id, has real and imaginary parts [a b] diag(1, -1) [c d]^T and
-    [a b] [[0, 1], [1, 0]] [c d]^T; unless a factor is real up to a phase,
-    they span such a plane.  Each restart polishes a random complex
-    combination of the basis toward the rank-one set, and the first pair
-    (Re X, Im X) that passes :func:`verify_complex_pair` is returned.
+    The complex-pair half of :func:`_search`: a pair is returned only when
+    it passes :func:`verify_complex_pair`.
     """
     if V.dim < 2:
         raise ValueError("the subspace must have dimension >= 2")
     if V.n < 2 or V.m < 2:
         raise ValueError("the ambient matrices must be at least 2x2")
-    for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        c = np.empty(V.dim, dtype=complex)
-        c.real, c.imag = rng.standard_normal((2, V.dim))
-        X = _rank_one_polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
-        witness = ComplexPairWitness(A=X.real, B=X.imag)
-        if verify_complex_pair(V, witness):
-            return witness
-    return None
+    return _search(V, seed, restarts)[1]
 
 
 def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
@@ -304,29 +322,25 @@ class ClassifyOutcome:
 
 
 def find_witnesses(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
-    """Run every detector that applies to V: rank-one when dim V >= 1, the
-    complex pair when also dim V >= 2 and m, n >= 2.
+    """Run the search of V (x) C once when dim V >= 1; the complex pair can
+    certify only when also dim V >= 2 and m, n >= 2.
 
     Returns ``(rank_one, complex_pair)``; an entry is None when its search
     does not apply or certified nothing.
     """
-    rank_one = find_rank_one(V, seed, restarts) if V.dim >= 1 else None
-    complex_pair = None
-    if V.dim >= 2 and V.m >= 2 and V.n >= 2:
-        complex_pair = find_complex_pair(V, seed, restarts)
-    return rank_one, complex_pair
+    return _search(V, seed, restarts) if V.dim >= 1 else (None, None)
 
 
 def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
                         restarts: int = 64,
                         report: ChainReport | None = None) -> ClassifyOutcome:
-    """Chain first, then both detectors; certified witnesses decide infinity.
+    """Chain first, then the search; certified witnesses decide infinity.
 
-    Both detectors run even when the chain terminates, as a consistency
+    The search runs even when the chain terminates, as a consistency
     guard: a finite chain together with a certified witness means the
     tolerance configuration is broken and raises
-    :class:`InternalInconsistencyError`.  Rank-one is tried first; the
-    outcome of the other search is still recorded.
+    :class:`InternalInconsistencyError`.  A rank-one witness is preferred;
+    the complex pair is still recorded.
     """
     if report is None:
         report = chain(V, k_max)

@@ -172,6 +172,20 @@ def test_reports_embed_the_configuration(conformal_file, tmp_path):
     assert config["subcommand"] == "chain"
 
 
+def test_detect_report_lists_every_tolerance(tmp_path):
+    # the search's two polish stops are fields, not literals in obstruct
+    w_pad = tmp_path / "w_pad.json"
+    w_pad.write_text(json.dumps(subspace_to_json(complex_structure_plane(3, 3))))
+    out = tmp_path / "detect.json"
+    assert main(["detect", "--input", str(w_pad), "--restarts", "2", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
+        "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
+        "rank_one_ratio", "rank_one_residual", "certificate", "certificate_distance",
+        "quarter_turn_det", "polish_zero_norm", "polish_step", "fd_step", "manifold_fd_step",
+        "on_manifold", "symmetric_drop", "jet_consistency",
+        "polish_stall_window", "polish_newton_ratio"}
+
+
 def test_table_format(conformal_file, tmp_path, capsys):
     rc = main(["chain", "--input", str(conformal_file), "--format", "table"])
     assert rc == 0

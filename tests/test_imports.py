@@ -1,5 +1,5 @@
-"""The package imports numpy alone; scipy.optimize loads with the rank-one
-search, and only there."""
+"""The package imports numpy alone, and no code path loads scipy: the
+search of V (x) C needs no optimizer."""
 
 import json
 import os
@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import well_conditioned
 import prolongation
 from prolongation import obstruct
-from prolongation.matspace import make_subspace
+from prolongation.matspace import conjugate, make_subspace
 
 SRC = str(Path(prolongation.__file__).resolve().parents[1])
 
@@ -54,11 +55,11 @@ V = make_subspace(3, 3, [np.outer(w, psi), rng.standard_normal((3, 3))])
 witness = find_rank_one(V, seed=0, restarts=4)
 print(json.dumps({"codes": codes, "scipy_before": loaded,
                   "certified": witness is not None,
-                  "optimize_after": "scipy.optimize" in sys.modules}))
+                  "scipy_after": "scipy" in sys.modules}))
 """
 
 
-def test_only_the_rank_one_search_loads_scipy(tmp_path):
+def test_no_code_path_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", GUARD, str(tmp_path)], env=env,
@@ -68,22 +69,24 @@ def test_only_the_rank_one_search_loads_scipy(tmp_path):
     assert out["codes"] == [0] * 6
     assert out["scipy_before"] == []
     assert out["certified"] is True
-    assert out["optimize_after"] is True
+    assert out["scipy_after"] is False
 
 
-def test_find_rank_one_calls_the_optimizer_bound_on_the_module(monkeypatch):
-    # the benchmark's tracer rebinds obstruct.minimize by name
-    real = obstruct.minimize
-    calls = []
+def test_the_search_never_calls_the_optimizer_bound_on_the_module(monkeypatch):
+    # the benchmark's tracer still reads and rebinds obstruct.minimize by name
+    assert callable(obstruct.minimize)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search called obstruct.minimize")
 
-    monkeypatch.setattr(obstruct, "minimize", counting)
+    monkeypatch.setattr(obstruct, "minimize", forbidden)
     rng = np.random.default_rng(3)
     V = make_subspace(3, 3, [np.outer(rng.standard_normal(3), rng.standard_normal(3)),
                              rng.standard_normal((3, 3))])
-    obstruct.find_rank_one(V, restarts=3)
-    assert len(calls) == 3
-    assert obstruct.minimize is counting
+    rank_one, _ = obstruct.find_witnesses(V, restarts=3)
+    assert rank_one is not None
+    W = conjugate(obstruct.complex_structure_plane(3, 4), well_conditioned(rng, 3),
+                  well_conditioned(rng, 4))
+    _, pair = obstruct.find_witnesses(W, restarts=3)
+    assert pair is not None
+    assert obstruct.minimize is forbidden

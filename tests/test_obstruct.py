@@ -267,3 +267,51 @@ def test_detectors_are_deterministic(rng):
     a = find_complex_pair(W, seed=14, restarts=8)
     b = find_complex_pair(W, seed=14, restarts=8)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
+
+
+# --- one search of V (x) C: which witness each polished element yields ------
+
+def test_planes_certify_as_pairs_and_never_as_rank_one(rng):
+    # every rank-one element of P W Q (x) C is genuinely complex
+    for trial in range(4):
+        for m, n in ((3, 3), (3, 4)):
+            V = conjugate(complex_structure_plane(m, n), well_conditioned(rng, m),
+                          well_conditioned(rng, n))
+            rank_one, pair = find_witnesses(V, seed=30 + trial, restarts=16)
+            assert rank_one is None and pair is not None, (trial, m, n)
+
+
+def test_plane_plus_a_rank_one_direction_certifies_both(rng):
+    E = np.zeros((3, 4))
+    E[2, 3] = 1.0
+    W = complex_structure_plane(3, 4)
+    for trial in range(5):
+        V = conjugate(make_subspace(4, 3, [*W.basis, E]), well_conditioned(rng, 3),
+                      well_conditioned(rng, 4))
+        rank_one, pair = find_witnesses(V, seed=40 + trial, restarts=64)
+        assert rank_one is not None and pair is not None, trial
+
+
+def test_planted_rank_one_is_returned_exactly(rng):
+    for trial in range(4):
+        psi0, w0 = unit(rng.standard_normal(3)), unit(rng.standard_normal(3))
+        V = make_subspace(3, 3, [np.outer(w0, psi0), *rng.standard_normal((2, 3, 3))])
+        witness = find_rank_one(V, seed=50 + trial, restarts=16)
+        plant = np.outer(w0, psi0)
+        error = min(np.abs(witness.matrix() - plant).max(),
+                    np.abs(witness.matrix() + plant).max())
+        assert error <= 1e-10, trial
+
+
+def test_badly_conditioned_planes_in_a_larger_space_certify_as_pairs():
+    # Gaussian P, Q: alternating projection alone converges too slowly here
+    W = complex_structure_plane(3, 4)
+    pairs = 0
+    for seed in range(1000, 1020):
+        g = np.random.default_rng(seed)
+        plane = conjugate(W, g.standard_normal((3, 3)), g.standard_normal((4, 4)))
+        V = make_subspace(4, 3, [*plane.basis, *g.standard_normal((2, 3, 4))])
+        rank_one, pair = find_witnesses(V, seed=seed, restarts=64)
+        assert rank_one is None, seed
+        pairs += pair is not None
+    assert pairs >= 19
