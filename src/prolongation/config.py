@@ -30,7 +30,6 @@ class Tolerances:
     certificate_distance: float = 1e-8  # distance of the pair elements from V
     quarter_turn_det: float = 1e-10   # |det S| below which the pair's frame is rejected
     polish_zero_norm: float = 1e-14   # rank-one polish stops when V's projection vanishes
-    polish_step: float = 1e-15        # rank-one polish stops when a step moves X less
     polish_stall_window: int = 100    # projection steps over which sigma_2/sigma_1 must halve
     polish_newton_ratio: float = 1e-2  # sigma_2/sigma_1 below which Newton steps finish the polish
 

@@ -20,6 +20,7 @@ from .matspace import (
     distance,
     make_subspace,
     principal_angles_rows,
+    rank_from_singular_values,
 )
 from .prolong import ChainReport, DeltaStatus, chain
 
@@ -38,12 +39,8 @@ class RankOneWitness:
         return np.outer(self.w, self.psi)
 
     def to_json(self) -> dict:
-        return {
-            "type": "rank_one",
-            "psi": self.psi.tolist(),
-            "w": self.w.tolist(),
-            "residual": float(self.residual),
-        }
+        return {"type": "rank_one", "psi": self.psi.tolist(), "w": self.w.tolist(),
+                "residual": float(self.residual)}
 
 
 @dataclass
@@ -55,11 +52,7 @@ class ComplexPairWitness:
     Q: np.ndarray | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "type": "complex_pair",
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-        }
+        out = {"type": "complex_pair", "A": self.A.tolist(), "B": self.B.tolist()}
         if self.P is not None:
             out["P"] = self.P.tolist()
         if self.Q is not None:
@@ -99,14 +92,21 @@ def __getattr__(name: str):
 
 # --- the rank-one search in V (x) C ----------------------------------------
 
-def _polish(V: MatrixSubspace, X: np.ndarray) -> np.ndarray:
+def _tangent_system(V: MatrixSubspace, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """[V.basis | -T], T the cone's tangents u_k vh_0^T, u_0 vh_l^T (k, l >= 1)."""
+    tangent = np.concatenate([u[:, 1:].T[:, :, None] * vh[0],
+                              u[:, 0][:, None] * vh[1:, None, :]])
+    return np.hstack([V.flat.T, -tangent.reshape(len(tangent), -1).T])
+
+
+def _polish(V: MatrixSubspace, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Polish a unit element X of V (x) C toward the rank-one cone.
 
     Alternating projection between the cone and V runs while sigma_2/sigma_1
     halves at least once every ``polish_stall_window`` steps.  Once the
     ratio is below ``polish_newton_ratio``, Newton steps intersect V with the
     projective tangent plane of the cone at the nearest rank-one matrix,
-    while the ratio falls; the best iterate is returned.
+    while the ratio falls; returns the best iterate and its ratio.
     """
     tol = TOLERANCES
     mark = np.inf
@@ -117,30 +117,23 @@ def _polish(V: MatrixSubspace, X: np.ndarray) -> np.ndarray:
             break
         if step % tol.polish_stall_window == 0:
             if ratio > mark / 2:
-                return X
+                return X, ratio
             mark = ratio
         Y = np.tensordot(V.flat @ (s[0] * np.outer(u[:, 0], vh[0])).ravel(), V.basis, axes=1)
         norm = np.linalg.norm(Y)
         if norm < tol.polish_zero_norm:
-            return X
-        Y = Y / norm
-        if np.linalg.norm(Y - X) < tol.polish_step:
-            return Y
-        X = Y
+            return X, ratio
+        X = Y / norm
     best, best_ratio = X, ratio
     while True:
-        # tangent directions u_k vh_0^T and u_0 vh_l^T with k, l >= 1
-        tangent = np.concatenate([u[:, 1:].T[:, :, None] * vh[0],
-                                  u[:, 0][:, None] * vh[1:, None, :]])
-        system = np.hstack([V.flat.T, -tangent.reshape(len(tangent), -1).T])
         target = s[0] * np.outer(u[:, 0], vh[0]).ravel()
-        coef = np.linalg.lstsq(system, target, rcond=None)[0][:V.dim]
+        coef = np.linalg.lstsq(_tangent_system(V, u, vh), target, rcond=None)[0][:V.dim]
         X = np.tensordot(coef, V.basis, axes=1)
         X /= np.linalg.norm(X)
         u, s, vh = np.linalg.svd(X)
         ratio = s[1] / s[0]
         if not ratio < best_ratio:
-            return best
+            return best, best_ratio
         best, best_ratio = X, ratio
 
 
@@ -152,7 +145,8 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
     Each restart polishes a random complex combination X of the basis.  The
     phase is rotated out, ``R = Re(X exp(-i theta))`` with ``theta`` half the
     argument of the sum of the squared entries, and the R with the least
-    sigma_2/sigma_1 over all restarts is offered to :func:`verify_rank_one`.
+    sigma_2/sigma_1 over all restarts is offered to :func:`verify_rank_one`;
+    a rank-one X neither isolated nor real up to a phase has R polished first.
     A complex rank-one element z zeta^T of V (x) C, with z = a + ib and
     zeta = c + id, has real and imaginary parts [a b] diag(1, -1) [c d]^T and
     [a b] [[0, 1], [1, 0]] [c d]^T; unless a factor is real up to a phase,
@@ -168,11 +162,19 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
         rng = _restart_rng(seed, r)
         c = np.empty(V.dim, dtype=complex)
         c.real, c.imag = rng.standard_normal((2, V.dim))
-        X = _polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
+        X, ratio = _polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
         R = (X * np.exp(-0.5j * np.angle(np.sum(X * X)))).real
         s = np.linalg.svd(R, compute_uv=False)
-        if s[1] / s[0] < best_ratio:
-            best_ratio, best = s[1] / s[0], R
+        R_ratio = s[1] / s[0]
+        if ratio < TOLERANCES.rank_one_ratio <= R_ratio:
+            # X is genuinely complex; unless V meets the cone's tangent plane
+            # at X in X alone (X isolated), real rank-one points may lie near R
+            system = _tangent_system(V, *np.linalg.svd(X)[::2])
+            s = np.linalg.svd(system, compute_uv=False)
+            if rank_from_singular_values(s) < system.shape[1]:
+                R, R_ratio = _polish(V, R / np.linalg.norm(R))
+        if R_ratio < best_ratio:
+            best_ratio, best = R_ratio, R
         if pair is None and V.dim >= 2:
             candidate = ComplexPairWitness(A=X.real, B=X.imag)
             if verify_complex_pair(V, candidate):

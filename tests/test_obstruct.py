@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import conformal_subspace, random_subspace, skew_subspace, well_conditioned
+from prolongation import obstruct
 from prolongation.matspace import (
     conjugate,
     distance,
@@ -301,6 +302,48 @@ def test_planted_rank_one_is_returned_exactly(rng):
         error = min(np.abs(witness.matrix() - plant).max(),
                     np.abs(witness.matrix() + plant).max())
         assert error <= 1e-10, trial
+
+
+def test_whole_matrix_spaces_certify_rank_one():
+    # V (x) C holds genuinely complex rank-one elements wherever a random
+    # start lands, so the rank-one witness comes from polishing a real start
+    for m, n in ((2, 2), (2, 3), (3, 4)):
+        V = make_subspace(n, m, list(np.eye(m * n).reshape(-1, m, n)))
+        for seed in range(3):
+            witness = find_rank_one(V, seed=seed, restarts=4)
+            assert witness is not None and witness.residual <= 1e-10, (m, n, seed)
+
+
+def test_isolated_complex_points_get_no_real_polish(rng, monkeypatch):
+    # the rank-one points of P W Q (x) C are two conjugate isolated points,
+    # so no real element of V is polished after the complex start
+    calls = []
+    polish = obstruct._polish
+    monkeypatch.setattr(obstruct, "_polish", lambda V, X: calls.append(X) or polish(V, X))
+    V = conjugate(complex_structure_plane(3, 4), well_conditioned(rng, 3),
+                  well_conditioned(rng, 4))
+    rank_one, pair = find_witnesses(V, seed=60, restarts=8)
+    assert rank_one is None and pair is not None
+    assert len(calls) == 8 and all(np.iscomplexobj(X) for X in calls)
+
+
+def test_classify_whole_3x3_space_records_rank_one():
+    V = make_subspace(3, 3, list(np.eye(9).reshape(-1, 3, 3)))
+    outcome = classify_delta_full(V, k_max=3, seed=0, restarts=16)
+    assert outcome.searches_json() == {"rank_one": "certified", "complex_pair": "certified"}
+    assert outcome.delta.witness is outcome.rank_one
+
+
+def test_products_of_planes_certify_rank_one():
+    # A (x) B, with A, B real 2-planes, plus one direction: a surface of
+    # rank-one elements in V (x) C, nearly all of them genuinely complex
+    for seed in range(10):
+        g = np.random.default_rng(seed)
+        a, b = g.standard_normal((2, 3)), g.standard_normal((2, 4))
+        V = make_subspace(4, 3, [*(np.outer(x, y) for x in a for y in b),
+                                 g.standard_normal((3, 4))])
+        witness = find_rank_one(V, seed=seed, restarts=16)
+        assert witness is not None and witness.residual <= 1e-10, seed
 
 
 def test_badly_conditioned_planes_in_a_larger_space_certify_as_pairs():
