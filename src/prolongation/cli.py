@@ -6,6 +6,7 @@ inconsistency.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -261,7 +262,10 @@ def _options(subcommand: str) -> tuple:
     return SUBCOMMANDS[subcommand][2] + COMMON
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` looks each
+    handler up in ``SUBCOMMANDS`` when it runs."""
     parser = argparse.ArgumentParser(
         prog="prolongation",
         description="Chain invariants, obstruction witnesses and polynomial "

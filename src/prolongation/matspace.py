@@ -166,6 +166,19 @@ def distance(A, V: MatrixSubspace) -> float:
     return float(np.linalg.norm(A - project(A, V)))
 
 
+def distances(stack, V: MatrixSubspace) -> np.ndarray:
+    """Frobenius distance from V of each matrix of an (N, m, n) stack, by
+    stacked matrix-vector products, the ones :func:`distance` takes on one
+    matrix, so that each entry equals its :func:`distance` to the bit."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape[1:] != (V.m, V.n):
+        raise ValueError("matrix shape does not match the subspace")
+    flat = stack.reshape(len(stack), V.m * V.n)
+    coefficients = (V.flat @ flat[:, :, None])[:, :, 0]
+    residual = flat - (coefficients[:, None, :] @ V.flat)[:, 0]
+    return np.sqrt(residual[:, None, :] @ residual[:, :, None]).ravel()
+
+
 def conjugate(V: MatrixSubspace, P, Q) -> MatrixSubspace:
     """Subspace {P B Q : B in V}, re-orthonormalized; rejects singular P, Q."""
     P = np.asarray(P, dtype=float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .matspace import MatrixSubspace, distance
+from .matspace import MatrixSubspace, distances
 from .prolong import ChainReport
 from .symtensor import PolyMap, fd_jacobian, jacobian, polymap_to_json
 
@@ -110,14 +110,11 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
     if samples < 1 or not radius > 0:
         raise ValueError("need at least one sample and a positive radius")
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(samples):
-        x = _sample_ball(rng, V.n, radius)
-        if isinstance(F, PolyMap):
-            J = jacobian(F, x)
-        else:
-            J = fd_jacobian(F, x, TOLERANCES.fd_step)
-        residuals.append(distance(J, V))
-    worst = float(np.max(residuals))  # a NaN propagates and fails the check
+    points = np.array([_sample_ball(rng, V.n, radius) for _ in range(samples)])
+    if isinstance(F, PolyMap):
+        J = jacobian(F, points)
+    else:
+        J = np.array([fd_jacobian(F, x, TOLERANCES.fd_step) for x in points])
+    worst = float(np.max(distances(J, V)))  # a NaN propagates and fails the check
     return MembershipReport(max_residual=worst, samples=samples,
                             tol=tol, passed=worst <= tol)

@@ -24,17 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .matspace import MatrixSubspace, distance, row_complement, row_space, row_space_and_kernel
-from .symtensor import (
-    HomPoly,
-    derivative_op,
-    monomial_basis,
-    monomial_index,
-    polymap_to_json,
-    PolyMap,
-    slot_matrix,
-)
-from math import comb, factorial
+from .matspace import MatrixSubspace, distances, row_complement, row_space, row_space_and_kernel
+from .symtensor import HomPoly, derivative_op, polymap_to_json, PolyMap, slot_table
+from math import comb
 
 
 def _complement(stack: np.ndarray) -> np.ndarray:
@@ -162,24 +154,13 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
         raise ValueError("degree must be >= 0")
     if k == 0:
         return constants_space(n, m)
-    perp = row_complement(V.flat)  # (q, m*n)
-    perp3 = perp.reshape(-1, m, n)
-    idx = monomial_index(n, k)
-    num_mono = comb(n + k - 1, k)
-    kfact = factorial(k)
-    blocks = []
-    for beta in monomial_basis(n, k - 1):
-        # slot pattern: coefficient of x**(beta+e_j) feeds matrix entry (:, j)
-        pattern = np.zeros((n, num_mono))
-        for j in range(n):
-            gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-            weight = 1.0
-            for g in gamma:
-                weight *= factorial(g)
-            pattern[j, idx[gamma]] = weight / kfact
-        rows = np.einsum("raj,jc->rac", perp3, pattern).reshape(perp.shape[0], m * num_mono)
-        blocks.append(rows)
-    system = np.vstack(blocks)
+    perp = row_complement(V.flat).reshape(-1, m, n)  # (q, m, n)
+    index, weight = slot_table(n, k)
+    # slot b of a map reads coefficient index[b, j] of each output into column j
+    system = np.zeros((len(index), len(perp), m, comb(n + k - 1, k)))
+    system[np.arange(len(index))[:, None], :, :, index] = (
+        np.moveaxis(perp, 2, 0) * weight[:, :, None, None])
+    system = system.reshape(-1, m * comb(n + k - 1, k))
     perp_k, rows = row_space_and_kernel(system)
     return HomSolutionSpace(k, n, m, rows.copy(), perp_k.copy())
 
@@ -330,7 +311,5 @@ def membership_residual(p: HomPoly, V: MatrixSubspace) -> float:
     """Largest slot-matrix distance from V over all degree-(k-1) slot fills."""
     if p.k == 0:
         return 0.0
-    worst = 0.0
-    for beta in monomial_basis(p.n, p.k - 1):
-        worst = max(worst, distance(slot_matrix(p, beta), V))
-    return worst
+    index, weight = slot_table(p.n, p.k)
+    return float(np.max(distances((p.coeffs[:, index] * weight).transpose(1, 0, 2), V)))

@@ -12,7 +12,7 @@ All operations are pure functions of immutable inputs.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -146,11 +146,26 @@ def contract(p: HomPoly, x) -> HomPoly:
     return HomPoly(p.n, p.m, p.k - 1, acc / p.k)
 
 
-def _multiindex_factorial(beta) -> int:
-    out = 1
-    for b in beta:
-        out *= factorial(b)
-    return out
+@lru_cache(maxsize=None)
+def slot_table(n: int, k: int) -> tuple:
+    """Where the slot matrices of a degree-k map read its coefficients.
+
+    Two arrays of shape (C(n+k-2, k-1), n): for the b-th degree-(k-1)
+    multi-index beta and slot j, ``index[b, j]`` is the position of
+    gamma = beta + e_j in ``monomial_basis(n, k)`` and ``weight[b, j]`` is
+    gamma!/k!, so column j of slot matrix b is ``coeffs[:, index[b, j]]``
+    times ``weight[b, j]``.
+    """
+    if k < 1:
+        raise ValueError("slot matrices need degree >= 1")
+    idx = monomial_index(n, k)
+    gammas = [[beta[:j] + (beta[j] + 1,) + beta[j + 1:] for j in range(n)]
+              for beta in monomial_basis(n, k - 1)]
+    index = np.array([[idx[g] for g in row] for row in gammas], dtype=np.int64)
+    weight = np.array([[prod(map(factorial, g)) / factorial(k) for g in row] for row in gammas])
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def slot_matrix(p: HomPoly, beta) -> np.ndarray:
@@ -165,23 +180,9 @@ def slot_matrix(p: HomPoly, beta) -> np.ndarray:
     beta = tuple(int(b) for b in beta)
     if p.k < 1 or len(beta) != p.n or sum(beta) != p.k - 1:
         raise ValueError("slot multi-index must have degree k-1")
-    idx = monomial_index(p.n, p.k)
-    kfact = factorial(p.k)
-    out = np.zeros((p.m, p.n))
-    for j in range(p.n):
-        gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-        out[:, j] = p.coeffs[:, idx[gamma]] * (_multiindex_factorial(gamma) / kfact)
-    return out
-
-
-def _hom_jacobian(p: HomPoly, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((p.m, p.n))
-    if p.k == 0:
-        return out
-    for j in range(p.n):
-        out[:, j] = derive(p, j).evaluate(x)
-    return out
+    index, weight = slot_table(p.n, p.k)
+    b = monomial_index(p.n, p.k - 1)[beta]
+    return p.coeffs[:, index[b]] * weight[b]
 
 
 @dataclass
@@ -225,13 +226,25 @@ class PolyMap:
 
 
 def jacobian(F, x) -> np.ndarray:
-    """Jacobian matrix of a PolyMap (or a single HomPoly) at the point x."""
-    if isinstance(F, HomPoly):
-        return _hom_jacobian(F, x)
-    out = np.zeros((F.m, F.n))
-    for p in F.components.values():
-        out += _hom_jacobian(p, x)
-    return out
+    """Jacobian of a PolyMap (or a single HomPoly): shape (m, n) at one
+    point, (N, m, n) at each row of an (N, n) stack of points.
+
+    Per component, the degree-(k-1) monomials are evaluated once at every
+    point, and each partial's coefficients are applied to them by stacked
+    matrix-vector products, the ones a single point takes.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != F.n:
+        raise ValueError("point has wrong dimension")
+    points = x.reshape(-1, F.n)
+    out = np.zeros((F.n, len(points), F.m))
+    for p in [F] if isinstance(F, HomPoly) else F.components.values():
+        if p.k == 0:
+            continue
+        monomials = np.prod(points[:, None, :] ** exponent_array(p.n, p.k - 1), axis=2)
+        partials = np.stack([derive(p, j).coeffs for j in range(p.n)])
+        out += (partials[:, None] @ monomials[:, :, None])[..., 0]
+    return np.moveaxis(out, 0, -1).reshape(x.shape[:-1] + (F.m, F.n))
 
 
 def fd_jacobian(f, x, step: float) -> np.ndarray:
@@ -274,18 +287,9 @@ def polymap_to_json(F: PolyMap) -> dict:
     for k in sorted(F.components):
         p = F.components[k]
         basis = monomial_basis(F.n, k)
-        for a in range(F.m):
-            for i, beta in enumerate(basis):
-                c = p.coeffs[a, i]
-                if c != 0.0:
-                    terms.append(
-                        {
-                            "degree": k,
-                            "output": a + 1,
-                            "exponents": list(beta),
-                            "value": float(c),
-                        }
-                    )
+        for a, i in zip(*np.nonzero(p.coeffs)):
+            terms.append({"degree": k, "output": int(a) + 1,
+                          "exponents": list(basis[i]), "value": float(p.coeffs[a, i])})
     return {"n": F.n, "m": F.m, "terms": terms}
 
 

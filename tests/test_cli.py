@@ -223,6 +223,41 @@ def test_internal_inconsistency_is_exit_two(conformal_file, monkeypatch, capsys)
     assert "internal inconsistency" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["conjugated_w_pad", "planted_rank_one"])
+@pytest.mark.parametrize("rank_rel, code", [(1e-16, 2), (1e-14, 0)])
+def test_the_guard_catches_a_broken_rank_decision(tmp_path, monkeypatch, capsys,
+                                                  kind, rank_rel, code):
+    """A rank threshold below the noise floor keeps round-off in every rank,
+    so the chain falsely terminates on two spaces of infinite type (alpha
+    [3, 2, 2, 0] and [3, 2, 1, 0]), and the witness search that runs as a
+    guard on a terminated chain must turn that into exit 2.  Just above the
+    floor the same inputs classify as certified infinite."""
+    import dataclasses
+
+    import prolongation.matspace as matspace_mod
+    from conftest import well_conditioned
+    from prolongation.matspace import conjugate, make_subspace
+
+    rng = np.random.default_rng(11)
+    if kind == "conjugated_w_pad":
+        V = conjugate(complex_structure_plane(3, 3),
+                      well_conditioned(rng, 3), well_conditioned(rng, 3))
+    else:
+        V = make_subspace(3, 3, [np.outer(rng.standard_normal(3), rng.standard_normal(3)),
+                                 rng.standard_normal((3, 3))])
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(subspace_to_json(V)))
+    monkeypatch.setattr(matspace_mod, "TOLERANCES",
+                        dataclasses.replace(matspace_mod.TOLERANCES, rank_rel=rank_rel))
+    out = tmp_path / "classify.json"
+    assert main(["classify", "--input", str(space), "--out", str(out)]) == code
+    if code == 2:
+        assert "internal inconsistency" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert read_result(out)["delta"]["status"] == "infinite_certified"
+
+
 # --- the config block carries what each subcommand consumes ------------------
 
 COMMON_KEYS = {"subcommand", "format", "tolerances"}
@@ -266,6 +301,18 @@ def test_config_block_holds_only_the_consumed_options(cli_files, tmp_path, argv,
     assert "membership" not in config["tolerances"]
     if "restarts" in keys:
         assert config["restarts"] == (2 if argv[0] == "detect" else 64)
+
+
+def test_the_one_parser_carries_no_value_from_call_to_call(cli_files, tmp_path):
+    from prolongation.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["chain", "--input", cli_files["line"], "--kmax", "3", "--format", "table",
+                 "--out", str(first)]) == 0
+    assert main(["chain", "--input", cli_files["line"], "--out", str(second)]) == 0
+    config = json.loads(second.read_text())["config"]
+    assert (config["k_max"], config["format"]) == (8, "json")
 
 
 def test_fixed_restarts_take_no_flag(cli_files):

@@ -7,6 +7,7 @@ from conftest import conformal_subspace, random_subspace, skew_subspace, well_co
 from prolongation.matspace import (
     conjugate,
     distance,
+    distances,
     make_subspace,
     max_principal_angle,
     nullspace_rows,
@@ -66,6 +67,15 @@ def test_pythagoras(rng):
         A = rng.standard_normal((3, 3))
         lhs = distance(A, V) ** 2 + np.linalg.norm(project(A, V)) ** 2
         assert abs(lhs - np.linalg.norm(A) ** 2) < 1e-10
+
+
+@pytest.mark.parametrize("n, m, dim", [(3, 2, 0), (3, 2, 1), (3, 3, 4), (4, 4, 16), (1, 1, 1)])
+def test_distances_of_a_stack_equal_each_distance_to_the_bit(rng, n, m, dim):
+    V = random_subspace(rng, n, m, dim)
+    stack = rng.standard_normal((9, m, n))
+    assert distances(stack, V).tolist() == [distance(A, V) for A in stack]
+    with pytest.raises(ValueError):
+        distances(rng.standard_normal((9, n, m + 1)), V)
 
 
 def test_distance_absolute_homogeneity(rng):

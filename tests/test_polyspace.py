@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import conformal_subspace, skew_subspace, well_conditioned
+from conftest import conformal_subspace, random_polymap, skew_subspace, well_conditioned
 from prolongation.matspace import distance, make_subspace, principal_angles_rows, subspaces_equal
 from prolongation.manifolds import quaternion_right_multiplications
-from prolongation.polyspace import PolyBasis, reduced_basis, solution_basis, verify_membership
+from prolongation.polyspace import (
+    PolyBasis, _sample_ball, reduced_basis, solution_basis, verify_membership,
+)
 from prolongation.prolong import chain, mk_direct
 from prolongation.symtensor import (
     HomPoly, PolyMap, contract, jacobian, monomial_index, polymap_to_json,
@@ -168,6 +170,19 @@ def test_verify_membership_fails_on_a_non_finite_residual():
     report = verify_membership(lambda x: np.full(2, np.nan), V, samples=5)
     assert not report.passed
     assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("V", [conformal_subspace(3), make_subspace(3, 3, [])],
+                         ids=["conformal", "dim-0"])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_verify_membership_is_the_worst_per_point_distance(rng, V, seed):
+    # the points are drawn one at a time, in order, from the seeded generator
+    F = random_polymap(rng, 3, 3, 4)
+    report = verify_membership(F, V, samples=40, radius=0.8, seed=seed)
+    draw = np.random.default_rng(seed)
+    worst = max(distance(jacobian(F, _sample_ball(draw, 3, 0.8)), V) for _ in range(40))
+    assert not report.passed
+    assert abs(report.max_residual - worst) <= 1e-12 * max(1.0, worst)
 
 
 def test_verify_membership_accepts_callables(rng):

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     conformal_subspace,
     holomorphic_power,
+    random_hompoly,
     random_subspace,
     skew_subspace,
     well_conditioned,
 )
-from prolongation.matspace import conjugate, make_subspace, principal_angles_rows
+from prolongation.matspace import conjugate, distance, make_subspace, principal_angles_rows
 import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
     ambient_step,
@@ -24,7 +25,7 @@ from prolongation.prolong import (
 )
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.obstruct import complex_structure_plane
-from prolongation.symtensor import derivative_op, hom_dim
+from prolongation.symtensor import HomPoly, derivative_op, hom_dim, monomial_basis, slot_matrix
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -425,6 +426,17 @@ def test_every_chain_basis_element_satisfies_membership(rng):
                 continue
             for p in space.basis:
                 assert membership_residual(p, V) <= 1e-8
+
+
+def test_membership_residual_is_the_worst_slot_distance(rng):
+    for V, k in ((conformal_subspace(3), 3), (random_subspace(rng, 2, 3, 4), 1),
+                 (make_subspace(2, 3, []), 2)):
+        p = random_hompoly(rng, V.n, V.m, k)
+        worst = max(distance(slot_matrix(p, beta), V) for beta in monomial_basis(V.n, k - 1))
+        assert membership_residual(p, V) == worst
+    # a non-finite coefficient is never read as membership
+    nan = HomPoly(2, 2, 2, np.full((2, 3), np.nan))
+    assert np.isnan(membership_residual(nan, make_subspace(2, 2, [I2])))
 
 
 def test_dimension_upper_semicontinuity_probe(rng):

@@ -1,3 +1,6 @@
+import json
+from math import comb, factorial, prod
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from prolongation.symtensor import (
     polymap_from_json,
     polymap_to_json,
     slot_matrix,
+    slot_table,
 )
 
 
@@ -135,6 +139,29 @@ def test_slot_matrix_matches_iterated_contraction(rng):
             assert np.allclose(slot_matrix(p, beta), q.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_slot_table_holds_positions_and_weights(rng, n, k):
+    index, weight = slot_table(n, k)
+    lower = monomial_basis(n, k - 1)
+    assert index.shape == weight.shape == (comb(n + k - 2, k - 1), n)
+    p = random_hompoly(rng, n, 2, k)
+    for b, beta in enumerate(lower):
+        for j in range(n):
+            gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+            assert index[b, j] == monomial_index(n, k)[gamma]
+            assert weight[b, j] == prod(factorial(g) for g in gamma) / factorial(k)
+        # the slot matrix is (1/k!) d^beta d_j p, taken here by repeated derivation
+        expected = np.zeros((2, n))
+        for j in range(n):
+            q = derive(p, j)
+            for i, count in enumerate(beta):
+                for _ in range(count):
+                    q = derive(q, i)
+            expected[:, j] = q.coeffs[:, 0] / factorial(k)
+        assert np.allclose(slot_matrix(p, beta), expected, rtol=1e-13, atol=0.0)
+
+
 def test_jacobian_of_linear_map_is_its_matrix(rng):
     A = rng.standard_normal((3, 2))
     lin = HomPoly(2, 3, 1, A)
@@ -166,6 +193,46 @@ def test_jacobian_is_degree_times_slot_evaluation(rng):
         for _ in range(k - 1):
             q = contract(q, x)
         assert np.allclose(jacobian(p, x), k * q.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("F", [
+    lambda rng: random_polymap(rng, 3, 2, 4),
+    lambda rng: random_polymap(rng, 2, 3, 0),
+    lambda rng: random_hompoly(rng, 3, 2, 3),
+    lambda rng: random_polymap(rng, 1, 2, 4),
+    lambda rng: random_hompoly(rng, 1, 1, 2),
+], ids=["polymap-degrees-0-4", "constant", "hompoly", "n1-polymap", "n1-hompoly"])
+def test_jacobian_on_a_stack_equals_per_point_calls(rng, F):
+    F = F(rng)
+    points = rng.standard_normal((7, F.n))
+    stacked = jacobian(F, points)
+    assert stacked.shape == (7, F.m, F.n)
+    for x, J in zip(points, stacked):
+        single = jacobian(F, x)
+        assert single.shape == (F.m, F.n)
+        assert np.linalg.norm(J - single) <= 1e-14 * max(1.0, np.linalg.norm(single))
+
+
+@pytest.mark.parametrize("F", [random_polymap, lambda rng, n, m, _: random_hompoly(rng, n, m, 2),
+                               lambda rng, n, m, _: PolyMap(n, m, {0: random_hompoly(rng, n, m, 0)})],
+                         ids=["polymap", "hompoly", "constant"])
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 5, 3), ()],
+                         ids=["long-point", "long-stack", "three-dims", "scalar"])
+def test_jacobian_rejects_points_of_the_wrong_shape(rng, F, shape):
+    with pytest.raises(ValueError):
+        jacobian(F(rng, 3, 2, 3), np.zeros(shape))
+
+
+def test_polymap_json_lists_nonzero_terms_by_output_then_monomial(rng):
+    p = random_hompoly(rng, 2, 2, 2)
+    p.coeffs[0, 1] = 0.0
+    p.coeffs[1, 0] = -0.0
+    F = PolyMap(2, 2, {2: p, 0: random_hompoly(rng, 2, 2, 0)})
+    data = json.loads(json.dumps(polymap_to_json(F)))
+    expected = [(0, a + 1, [0, 0]) for a in range(2)]
+    expected += [(2, a + 1, list(beta)) for a in range(2)
+                 for i, beta in enumerate(monomial_basis(2, 2)) if (a, i) not in ((0, 1), (1, 0))]
+    assert [(t["degree"], t["output"], t["exponents"]) for t in data["terms"]] == expected
 
 
 def test_polymap_json_round_trip(rng):
