@@ -25,11 +25,9 @@ class Tolerances:
 
     # obstruction certificates
     rank_one_ratio: float = 1e-7      # sigma_2/sigma_1 gate for rank-one candidates
-    rank_one_residual: float = 1e-8   # certified distance of psi (x) w from V
     certificate: float = 1e-7         # complex-pair conditions (rank, gaps, square)
-    certificate_distance: float = 1e-8  # distance of the pair elements from V
+    certificate_distance: float = 1e-8  # distance of a witness's matrices from V
     quarter_turn_det: float = 1e-10   # |det S| below which the pair's frame is rejected
-    polish_zero_norm: float = 1e-14   # rank-one polish stops when V's projection vanishes
     polish_stall_window: int = 100    # projection steps over which sigma_2/sigma_1 must halve
     polish_newton_ratio: float = 1e-2  # sigma_2/sigma_1 below which Newton steps finish the polish
 
@@ -37,7 +35,6 @@ class Tolerances:
     fd_step: float = 1e-5             # central finite-difference step for Jacobians
     manifold_fd_step: float = 1e-6    # step for constraint-set tangent extraction
     on_manifold: float = 1e-9         # residual bound for points on a constraint set
-    symmetric_drop: float = 1e-12     # trace-free diagonal direction dropped below this
     jet_consistency: float = 1e-8     # least-squares residual bound for jet systems
 
     def to_dict(self) -> dict:

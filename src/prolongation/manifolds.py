@@ -18,7 +18,7 @@ import numpy as np
 from .config import TOLERANCES
 from .matspace import MatrixSubspace, make_subspace, nullspace_rows, row_complement
 from .obstruct import classify_delta_full, complex_structure_plane
-from .prolong import DeltaStatus, chain
+from .prolong import chain
 from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian, json_dimensions
 
 
@@ -56,7 +56,7 @@ def _symmetric_basis(n: int, trace_free: bool) -> list:
         from .matspace import _gram_schmidt
 
         eye = np.eye(n).ravel() / np.sqrt(n)
-        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], TOLERANCES.symmetric_drop)
+        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], TOLERANCES.gram_schmidt_drop)
         out.extend(v.reshape(n, n) for v in vecs[1:])
     else:
         out.extend(diag)

@@ -10,7 +10,7 @@ certified; absence of a witness is inconclusive, never a proof of finiteness.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,10 +120,8 @@ def _polish(V: MatrixSubspace, X: np.ndarray) -> tuple[np.ndarray, float]:
                 return X, ratio
             mark = ratio
         Y = np.tensordot(V.flat @ (s[0] * np.outer(u[:, 0], vh[0])).ravel(), V.basis, axes=1)
-        norm = np.linalg.norm(Y)
-        if norm < tol.polish_zero_norm:
-            return X, ratio
-        X = Y / norm
+        # never zero: |Y| >= <X, Y> = s_1^2 >= 1/min(m, n) for a unit X in V (x) C
+        X = Y / np.linalg.norm(Y)
     best, best_ratio = X, ratio
     while True:
         target = s[0] * np.outer(u[:, 0], vh[0]).ravel()
@@ -214,7 +212,7 @@ def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness) -> bool:
     if abs(norm - 1.0) > TOLERANCES.orthonormality:
         return False
     witness.residual = distance(mat, V)
-    return witness.residual <= TOLERANCES.rank_one_residual
+    return witness.residual <= TOLERANCES.certificate_distance
 
 
 # --- embedded complex-structure plane detector -----------------------------

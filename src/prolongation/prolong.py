@@ -11,8 +11,8 @@ full slot-membership system at a given degree, while :func:`mk_step` exploits
 the derivative recursion and keeps each linear system small.  ``chain``
 uses the recursion; the direct route is retained as an independent oracle.
 
-The recursion has two exact forms, and :func:`mk_step` takes whichever is
-cheaper at each degree.  :func:`ambient_step` solves for all
+The recursion has two exact forms, and :func:`mk_step` takes the one with
+fewer unknowns at each degree.  :func:`ambient_step` solves for all
 ``m * C(n+k-1, k)`` coefficients of a degree-k map, which suits a space
 that fills most of its degree.  :func:`delta_step` solves for the
 coordinates of the partials in the previous degree's basis, Spencer's
@@ -171,31 +171,6 @@ def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:
     return prev.degree + 1
 
 
-def _svd_flops(rows: int, cols: int) -> int:
-    """Flop estimate of ``row_space_and_kernel`` on a rows x cols system:
-    the reduction to bidiagonal form, plus the full ``vh`` of a wide one.
-    The ambient route's thin SVD builds no full ``vh``, so its estimate
-    overstates that route; where the ambient route wins, it wins by more."""
-    small = min(rows, cols)
-    return rows * cols * small + (cols * cols * small if rows < cols else 0)
-
-
-def _delta_is_cheaper(prev: HomSolutionSpace) -> bool:
-    """Whether :func:`delta_step` factors less than :func:`ambient_step`
-    for the degree after ``prev``; each estimate counts the half of
-    ``prev`` its route reads when it has yet to be computed."""
-    n, m, k = prev.n, prev.m, prev.degree + 1
-    width_prev = m * comb(n + k - 2, k - 1)
-    ambient = _svd_flops(n * (width_prev - prev.dim), m * comb(n + k - 1, k))
-    if prev._perp is None:
-        ambient += _svd_flops(prev.dim, width_prev)
-    delta = _svd_flops(comb(n, 2) * m * comb(n + k - 3, k - 2), n * prev.dim)
-    if prev._rows is None:
-        # the complete QR that builds the basis from the complement
-        delta += width_prev * width_prev * (width_prev - prev.dim)
-    return delta < ambient
-
-
 def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     """Degree k >= 2 maps whose partials lie in ``prev``, solved over all
     m * C(n+k-1, k) coefficients.
@@ -259,8 +234,9 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
 
     The recursion only characterizes degrees >= 2; from the constants it
     returns V itself as linear maps, which is the degree-1 space by
-    definition.  Above that, the step runs :func:`delta_step` or
-    :func:`ambient_step`, whichever factors the fewer flops.
+    definition.  Above that, the step runs :func:`delta_step` when it has
+    fewer unknowns, ``n * dim(prev) < m * C(n+k-1, k)``, and
+    :func:`ambient_step` otherwise.
     """
     k = _step_degree(V, prev)
     n, m = V.n, V.m
@@ -270,7 +246,8 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     if prev.dim == 0:
         # derivatives of a nonzero homogeneous map cannot all vanish
         return HomSolutionSpace(k, n, m, np.zeros((0, m * comb(n + k - 1, k))))
-    return (delta_step if _delta_is_cheaper(prev) else ambient_step)(V, prev)
+    step = delta_step if n * prev.dim < m * comb(n + k - 1, k) else ambient_step
+    return step(V, prev)
 
 
 def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:

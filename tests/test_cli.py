@@ -180,9 +180,8 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     assert main(["detect", "--input", str(w_pad), "--restarts", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
         "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
-        "rank_one_ratio", "rank_one_residual", "certificate", "certificate_distance",
-        "quarter_turn_det", "polish_zero_norm", "fd_step", "manifold_fd_step",
-        "on_manifold", "symmetric_drop", "jet_consistency",
+        "rank_one_ratio", "certificate", "certificate_distance", "quarter_turn_det",
+        "fd_step", "manifold_fd_step", "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
 
 

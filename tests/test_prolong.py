@@ -213,7 +213,7 @@ def step_route_corpus(rng):
         cases += [(V, mk_direct(V, k)) for k in range(1, 4)]
     assert any(prev.dim == 0 for _, prev in cases)
     for V, k_max in ((conjugated_plane(rng, 3, 3), 5), (trace_free_subspace(3), 3),
-                     (conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5),
+                     (conjugate(maps_into(2, 6, 4), well_conditioned(rng, 6),
                                 well_conditioned(rng, 2)), 3)):
         cases += [(V, space) for space in chain(V, k_max).spaces[1:]]
     for _ in range(8):
@@ -240,14 +240,26 @@ def test_steps_reject_the_degree_one_step(rng):
 
 
 def test_chain_switches_from_the_delta_to_the_ambient_route(rng, monkeypatch):
-    V = conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5), well_conditioned(rng, 2))
+    # unknowns n * alpha_{k-1} against m * C(n+k-1, k): 16 < 18, then 24 = 24
+    # (a tie goes ambient) and 32 > 30
+    V = conjugate(maps_into(2, 6, 4), well_conditioned(rng, 6), well_conditioned(rng, 2))
     routes = record_routes(monkeypatch)
     report = chain(V, 4)
     assert routes == ["delta_step", "ambient_step", "ambient_step"]
-    assert report.alpha == [5, 8, 12, 16, 20]
+    assert report.alpha == [6, 8, 12, 16, 20]
     for space in report.spaces:
         assert spaces_match(space, mk_direct(V, space.degree)), space.degree
         assert_complement_invariants(space)
+
+
+def test_a_tie_in_unknowns_runs_the_ambient_route(rng, monkeypatch):
+    # a generic 10-dim subspace of 4x4 at k = 2: 4 * 10 unknowns either way
+    V = random_subspace(rng, 4, 4, 10)
+    prev = mk_step(V, constants_space(4, 4))
+    routes = record_routes(monkeypatch)
+    space = mk_step(V, prev)
+    assert routes == ["ambient_step"]
+    assert spaces_match(space, mk_direct(V, 2))
 
 
 def test_spaces_do_not_pin_their_svd_factors(monkeypatch):
