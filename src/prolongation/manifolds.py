@@ -337,7 +337,7 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
 
     Write u = u_1 + ... + u_D with u_j homogeneous of degree j.  The
     xi-degree-d part of the identity couples only Du_{d+1} and u_d, so the
-    system is block-bidiagonal in d, built from the derivative operators.
+    system is block-bidiagonal in d, built from the derivative table.
     u_1 = A is known and moves to the right-hand side.  The report carries
     the dimension of the solution set's linear part and a basis, or
     ``empty`` when the affine constraints are inconsistent.
@@ -360,9 +360,11 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     for d in range(D + 1):
         block = np.zeros((q * num[d], cols[-1]))
         if d < D:  # Jacobian of u_{d+1}: perp_mat against every d_i
-            ops = np.stack([derivative_op(n, d + 1, i) for i in range(n)])
-            block[:, cols[d + 1]:cols[d + 2]] = np.einsum(
-                "rai,ilh->rlah", perp_mat, ops).reshape(q * num[d], m * num[d + 1])
+            index, exponent = derivative_op(n, d + 1)
+            jac = np.zeros((q, num[d], m, num[d + 1]))
+            jac[:, np.arange(num[d])[:, None], :, index] = (
+                np.moveaxis(perp_mat, 2, 0) * exponent[:, :, None, None])
+            block[:, cols[d + 1]:cols[d + 2]] = jac.reshape(q * num[d], m * num[d + 1])
         if d > 0:  # value of u_d
             block[:, cols[d]:cols[d + 1]] = np.kron(perp_vec, np.eye(num[d]))
         blocks.append(block)

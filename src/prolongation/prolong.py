@@ -184,12 +184,15 @@ def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     if k < 2:
         raise ValueError("the recursion characterizes degrees >= 2")
     n, m = V.n, V.m
-    width = m * comb(n + k - 1, k)
     # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
     r = prev.perp.shape[0]
     perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
-    system = np.vstack([(perp @ derivative_op(n, k, i)).reshape(r, width) for i in range(n)])
-    return HomSolutionSpace(k, n, m, _perp=row_space(system))
+    index, exponent = derivative_op(n, k)
+    monomials = comb(n + k - 1, k)
+    system = np.zeros((n, r, m, monomials))
+    for i in range(n):  # coefficient b of d_i p is exponent[b, i] times p's index[b, i]
+        system[i][..., index[:, i]] = perp * exponent[:, i]
+    return HomSolutionSpace(k, n, m, _perp=row_space(system.reshape(n * r, m * monomials)))
 
 
 def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
@@ -210,7 +213,8 @@ def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     basis = prev.rows.reshape(dim, m, above)
     below = m * comb(n + k - 3, k - 2)
     # partials[j] sends c_i to the degree-(k-2) coefficients of d_j q_i
-    partials = [(basis @ derivative_op(n, k - 1, j).T).reshape(dim, below).T
+    index, exponent = derivative_op(n, k - 1)
+    partials = [(basis[:, :, index[:, j]] * exponent[:, j]).reshape(dim, below).T
                 for j in range(n)]
     pairs = list(combinations(range(n), 2))
     system = np.zeros((len(pairs) * below, n * dim))
@@ -222,9 +226,8 @@ def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     q = (kernel.reshape(len(kernel), n, dim) @ prev.rows).reshape(len(kernel), n, m, above)
     monomials = comb(n + k - 1, k)
     lifted = np.zeros((len(kernel), m, monomials))
-    for i in range(n):
-        # each row of d/dx_i has one nonzero, in the column of x_i times its monomial
-        lifted[:, :, np.argmax(derivative_op(n, k, i), axis=1)] += q[:, i] / k
+    for i, column in enumerate(derivative_op(n, k)[0].T):
+        lifted[:, :, column] += q[:, i] / k  # x_i times lower monomial b is monomial column[b]
     orthonormal, _ = np.linalg.qr(lifted.reshape(len(kernel), m * monomials).T)
     return HomSolutionSpace(k, n, m, np.ascontiguousarray(orthonormal.T))
 

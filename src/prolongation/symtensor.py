@@ -62,21 +62,21 @@ def hom_dim(n: int, m: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def derivative_op(n: int, k: int, i: int) -> np.ndarray:
-    """Coefficient matrix of d/dx_i from degree k to degree k-1 (scalar case)."""
-    if not 0 <= i < n:
-        raise ValueError("coordinate index out of range")
+def derivative_op(n: int, k: int) -> tuple:
+    """d/dx_j from degree k to k-1 as two read-only integer arrays, each of
+    shape (C(n+k-2, k-1), n): for the b-th degree-(k-1) multi-index beta,
+    ``index[b, j]`` is the position of beta + e_j in ``monomial_basis(n, k)``
+    and ``exponent[b, j]`` is beta_j + 1, so coefficient b of d_j p is
+    ``exponent[b, j] * coeffs[:, index[b, j]]``."""
     if k < 1:
         raise ValueError("cannot differentiate degree-0 coefficients")
-    idx = monomial_index(n, k - 1)
-    cols = monomial_basis(n, k)
-    op = np.zeros((len(monomial_basis(n, k - 1)), len(cols)))
-    for c, beta in enumerate(cols):
-        if beta[i] > 0:
-            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            op[idx[lower], c] = beta[i]
-    op.setflags(write=False)
-    return op
+    idx = monomial_index(n, k)
+    index = np.array([[idx[beta[:j] + (beta[j] + 1,) + beta[j + 1:]] for j in range(n)]
+                      for beta in monomial_basis(n, k - 1)], dtype=np.int64)
+    exponent = np.array(monomial_basis(n, k - 1), dtype=np.int64) + 1
+    index.setflags(write=False)
+    exponent.setflags(write=False)
+    return index, exponent
 
 
 @dataclass
@@ -125,11 +125,11 @@ class HomPoly:
 
 
 def derive(p: HomPoly, i: int) -> HomPoly:
-    """Partial derivative d p / d x_i, one degree down.  Rejects k = 0."""
-    if p.k < 1:
-        raise ValueError("cannot differentiate a degree-0 polynomial")
-    op = derivative_op(p.n, p.k, i)
-    return HomPoly(p.n, p.m, p.k - 1, p.coeffs @ op.T)
+    """Partial derivative d p / d x_i, one degree down, in C order for jacobian."""
+    if not 0 <= i < p.n:
+        raise ValueError("coordinate index out of range")
+    index, exponent = derivative_op(p.n, p.k)
+    return HomPoly(p.n, p.m, p.k - 1, np.take(p.coeffs, index[:, i], axis=1) * exponent[:, i])
 
 
 def contract(p: HomPoly, x) -> HomPoly:
@@ -142,7 +142,7 @@ def contract(p: HomPoly, x) -> HomPoly:
     acc = np.zeros((p.m, comb(p.n + p.k - 2, p.k - 1)))
     for i in range(p.n):
         if x[i] != 0.0:
-            acc += x[i] * (p.coeffs @ derivative_op(p.n, p.k, i).T)
+            acc += x[i] * derive(p, i).coeffs
     return HomPoly(p.n, p.m, p.k - 1, acc / p.k)
 
 
@@ -152,18 +152,13 @@ def slot_table(n: int, k: int) -> tuple:
 
     Two arrays of shape (C(n+k-2, k-1), n): for the b-th degree-(k-1)
     multi-index beta and slot j, ``index[b, j]`` is the position of
-    gamma = beta + e_j in ``monomial_basis(n, k)`` and ``weight[b, j]`` is
-    gamma!/k!, so column j of slot matrix b is ``coeffs[:, index[b, j]]``
-    times ``weight[b, j]``.
+    gamma = beta + e_j in ``monomial_basis(n, k)``, read from
+    :func:`derivative_op`, and ``weight[b, j]`` is gamma!/k!, so column j of
+    slot matrix b is ``coeffs[:, index[b, j]]`` times ``weight[b, j]``.
     """
-    if k < 1:
-        raise ValueError("slot matrices need degree >= 1")
-    idx = monomial_index(n, k)
-    gammas = [[beta[:j] + (beta[j] + 1,) + beta[j + 1:] for j in range(n)]
-              for beta in monomial_basis(n, k - 1)]
-    index = np.array([[idx[g] for g in row] for row in gammas], dtype=np.int64)
-    weight = np.array([[prod(map(factorial, g)) / factorial(k) for g in row] for row in gammas])
-    index.setflags(write=False)
+    index = derivative_op(n, k)[0]
+    weight = np.array([prod(map(factorial, g)) / factorial(k) for g in monomial_basis(n, k)])
+    weight = weight[index]
     weight.setflags(write=False)
     return index, weight
 

@@ -408,34 +408,37 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
     assert "invalid input" in capsys.readouterr().err
 
 
-# --- no input field is a boolean ----------------------------------------------
+# --- no input field is a boolean or a string ----------------------------------
 
 @pytest.mark.parametrize("kind", ["subspace", "polynomial", "matrix", "augmented"])
 def test_json_booleans_are_exit_one(tmp_path, capsys, kind):
     """One entry of a valid file (the only 1.5 in it) is replaced by ``true``,
-    which a plain JSON reader would take as the number 1."""
+    which a plain JSON reader would take as the number 1, or by a string,
+    which ``float`` would read as a number."""
     space = {"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, 1.5]]]}
     poly = {"n": 2, "m": 2, "terms": [
         {"degree": 1, "output": 1, "exponents": [1, 0], "value": 1.5}]}
     aug = {"n": 2, "m": 2, "generators": [{"matrix": np.eye(2).tolist(), "vector": [1.5, 0.0]}]}
     matrix = [[1.0, 0.0], [0.0, 1.5]]
     files = {"subspace": space, "polynomial": poly, "matrix": matrix, "augmented": aug}
-    paths = {}
-    for name, data in files.items():
-        text = json.dumps(data)
-        if name == kind:
-            assert text.count("1.5") == 1
-            text = text.replace("1.5", "true")
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(text)
-    if kind in ("subspace", "polynomial"):
-        argv = ["verify", "--input", str(paths["subspace"]), "--poly", str(paths["polynomial"])]
-    else:
-        argv = ["jet", "--input-augmented", str(paths["augmented"]),
-                "--matrix", str(paths["matrix"]), "--degree", "2"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "invalid input" in err and "true" in err and str(paths[kind]) in err
+    for bad in ["true", '"nan"', '"1e400"', '"1.5"']:
+        paths = {}
+        for name, data in files.items():
+            text = json.dumps(data)
+            if name == kind:
+                assert text.count("1.5") == 1
+                text = text.replace("1.5", bad)
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        if kind in ("subspace", "polynomial"):
+            argv = ["verify", "--input", str(paths["subspace"]),
+                    "--poly", str(paths["polynomial"])]
+        else:
+            argv = ["jet", "--input-augmented", str(paths["augmented"]),
+                    "--matrix", str(paths["matrix"]), "--degree", "2"]
+        assert main(argv) == 1, bad
+        err = capsys.readouterr().err
+        assert "invalid input" in err and bad in err and str(paths[kind]) in err, bad
 
 
 # --- the option table's defaults are the library's ---------------------------

@@ -287,9 +287,8 @@ def test_wide_ambient_step_stores_only_its_complement(monkeypatch):
     V = trace_free_subspace(6)
     prev = chain(V, 4).spaces[-1]
     prev.perp  # the complement the step reads, built before the measurement
-    for i in range(6):
-        # the derivative operators are cached across calls; measure the step alone
-        derivative_op(6, 5, i)
+    # the derivative table is cached across calls; measure the step alone
+    derivative_op(6, 5)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True, **kw:
@@ -305,6 +304,22 @@ def test_wide_ambient_step_stores_only_its_complement(monkeypatch):
     assert shapes == [((336, 1512), False)]
     assert peak <= 16e6
     assert retained <= 5e6
+
+
+def test_a_long_chain_keeps_no_dense_derivative_operators():
+    # span{(x + y/2)^k} has dimension 1 at every degree, so a chain to k = 250
+    # is cheap, and what it retains is what its caches keep: two small integer
+    # arrays per degree in the derivative table (about 5 MB with the monomial
+    # caches), where the dense derivative operators kept 88 MB
+    V = make_subspace(2, 1, [np.array([[1.0, 0.5]])])
+    tracemalloc.start()
+    try:
+        report = chain(V, 250)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.alpha == [1] * 251
+    assert retained <= 12e6
 
 
 def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch):

@@ -9,6 +9,7 @@ from prolongation.symtensor import (
     HomPoly,
     PolyMap,
     contract,
+    derivative_op,
     derive,
     hom_dim,
     jacobian,
@@ -146,6 +147,26 @@ def test_slot_table_holds_positions_and_weights(rng, n, k):
     lower = monomial_basis(n, k - 1)
     assert index.shape == weight.shape == (comb(n + k - 2, k - 1), n)
     p = random_hompoly(rng, n, 2, k)
+    # the derivative table against the dense matrices of d/dx_j it replaces,
+    # built from the exponent rule d_j x^gamma = gamma_j x^(gamma - e_j)
+    table_index, exponent = derivative_op(n, k)
+    assert table_index is index and not index.flags.writeable and not exponent.flags.writeable
+    dense = np.zeros((n, len(lower), comb(n + k - 1, k)))
+    for c, gamma in enumerate(monomial_basis(n, k)):
+        for j in range(n):
+            if gamma[j] > 0:
+                b = monomial_index(n, k - 1)[gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]]
+                dense[j, b, c] = gamma[j]
+    from_table = np.zeros_like(dense)
+    for j in range(n):
+        from_table[j, np.arange(len(lower)), index[:, j]] = exponent[:, j]
+    assert np.array_equal(from_table, dense)
+    for j in range(n):
+        partial = derive(p, j).coeffs
+        assert np.array_equal(partial, p.coeffs @ dense[j].T) and partial.flags.c_contiguous
+    for j in (-1, n):
+        with pytest.raises(ValueError):
+            derive(p, j)
     for b, beta in enumerate(lower):
         for j in range(n):
             gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]

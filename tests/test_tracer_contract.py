@@ -1,5 +1,6 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps library functions by
-name; a traced detector job must run and be summarised without error."""
+name and reads the cache of ``derivative_op``; a traced detector job must
+run and be summarised without error."""
 
 import json
 import os
@@ -29,7 +30,8 @@ V = make_subspace(3, 3, [np.outer(rng.standard_normal(3), rng.standard_normal(3)
 outcome = tracer.run_job("0/planted", "detect",
                          lambda: obstruct.classify_delta_full(V, k_max=3, restarts=2))
 metrics = tracing.layer_metrics(tracer.spans, names, set())
-print(json.dumps({"status": outcome.delta.status, "metrics": sorted(metrics)}))
+print(json.dumps({"status": outcome.delta.status, "metrics": sorted(metrics),
+                  "derivative_op": tracing.derivative_op_counts()}))
 """
 
 
@@ -41,6 +43,8 @@ def test_a_traced_classify_job_runs_and_is_summarised():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["status"] == "infinite_certified"
+    hits, misses = out["derivative_op"]  # the cache behind the hit-ratio metric
+    assert hits + misses > 0
     for name in ("obstruct.find_rank_one.calls", "obstruct.find_complex_pair.calls",
                  "obstruct.classify_delta_full.calls", "kernel.svd.calls", "trace.spans"):
         assert name in out["metrics"]
