@@ -180,6 +180,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -213,7 +220,8 @@ def _default(fn, parameter: str):
 
 INPUT = Option("--input", "input", dict(required=True, help="subspace file"))
 KMAX = Option("--kmax", "k_max", dict(type=_count, default=_default(chain, "k_max")))
-SEED = Option("--seed", "seed", dict(type=int, default=_default(find_witnesses, "seed")))
+SEED = Option("--seed", "seed",
+              dict(type=_non_negative, default=_default(find_witnesses, "seed")))
 RESTARTS = Option("--restarts", "restarts",
                   dict(type=_count, default=_default(find_witnesses, "restarts")))
 COMMON = (

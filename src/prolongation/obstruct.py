@@ -99,29 +99,54 @@ def _tangent_system(V: MatrixSubspace, u: np.ndarray, vh: np.ndarray) -> np.ndar
     return np.hstack([V.flat.T, -tangent.reshape(len(tangent), -1).T])
 
 
-def _polish(V: MatrixSubspace, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Polish a unit element X of V (x) C toward the rank-one cone.
+def _polish(V: MatrixSubspace, X: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Polish a stack of unit elements X[i] of V (x) C toward the rank-one cone.
 
-    Alternating projection between the cone and V runs while sigma_2/sigma_1
-    halves at least once every ``polish_stall_window`` steps.  Once the
-    ratio is below ``polish_newton_ratio``, Newton steps intersect V with the
-    projective tangent plane of the cone at the nearest rank-one matrix,
-    while the ratio falls; returns the best iterate and its ratio.
+    Alternating projection between the cone and V runs on the whole stack
+    in lockstep, one stacked SVD per step.  A member leaves the stack when
+    its sigma_2/sigma_1 has not halved since the last end of a
+    ``polish_stall_window`` of steps, or when the ratio falls below
+    ``polish_newton_ratio``; it then finishes alone with :func:`_newton`.
+    Each member follows, bit for bit, the trajectory it would follow in a
+    stack of one.  Returns each member's best iterate and its ratio, in
+    stack order.
     """
     tol = TOLERANCES
-    mark = np.inf
+    out = [None] * len(X)
+    live = np.arange(len(X))
+    mark = np.full(len(X), np.inf)
     for step in itertools.count():
+        if not live.size:
+            return out
         u, s, vh = np.linalg.svd(X)
-        ratio = s[1] / s[0]
-        if ratio < tol.polish_newton_ratio:
-            break
+        ratio = s[:, 1] / s[:, 0]
+        done = ratio < tol.polish_newton_ratio
+        for i in np.flatnonzero(done):
+            out[live[i]] = _newton(V, X[i], u[i], s[i], vh[i], ratio[i])
         if step % tol.polish_stall_window == 0:
-            if ratio > mark / 2:
-                return X, ratio
+            stalled = ~done & (ratio > mark / 2)
+            for i in np.flatnonzero(stalled):
+                out[live[i]] = X[i], ratio[i]
+            done |= stalled
             mark = ratio
-        Y = np.tensordot(V.flat @ (s[0] * np.outer(u[:, 0], vh[0])).ravel(), V.basis, axes=1)
+        keep = ~done
+        live, mark, u, s, vh = live[keep], mark[keep], u[keep], s[keep], vh[keep]
+        # project s_1 u_1 vh_1^T onto V, per member; these matmuls and the
+        # vecdot norm round as V.flat @ v, tensordot and np.linalg.norm do on
+        # one matrix (a gemm against V.flat.T, or a norm over axes, does not)
+        top = s[:, :1, None] * (u[:, :, :1] * vh[:, None, 0])
+        coef = np.matmul(V.flat, top.reshape(len(live), V.m * V.n, 1))
+        Y = np.matmul(coef.reshape(len(live), 1, V.dim), V.flat)
         # never zero: |Y| >= <X, Y> = s_1^2 >= 1/min(m, n) for a unit X in V (x) C
-        X = Y / np.linalg.norm(Y)
+        norm = np.sqrt(np.vecdot(Y.real, Y.real) + np.vecdot(Y.imag, Y.imag))
+        X = (Y / norm[:, :, None]).reshape(-1, V.m, V.n)
+
+
+def _newton(V: MatrixSubspace, X: np.ndarray, u: np.ndarray, s: np.ndarray,
+            vh: np.ndarray, ratio: float) -> tuple[np.ndarray, float]:
+    """Newton steps from X, whose SVD is (u, s, vh): intersect V with the
+    projective tangent plane of the cone at the nearest rank-one matrix
+    while sigma_2/sigma_1 falls; returns the best iterate and its ratio."""
     best, best_ratio = X, ratio
     while True:
         target = s[0] * np.outer(u[:, 0], vh[0]).ravel()
@@ -135,16 +160,30 @@ def _polish(V: MatrixSubspace, X: np.ndarray) -> tuple[np.ndarray, float]:
         best, best_ratio = X, ratio
 
 
+def _starts(V: MatrixSubspace, seed: int, restarts: int) -> np.ndarray:
+    """The stack of the restarts' unit random complex combinations of the
+    basis, shape (max(restarts, 0), m, n)."""
+    starts = []
+    for r in range(restarts):
+        rng = _restart_rng(seed, r)
+        c = np.empty(V.dim, dtype=complex)
+        c.real, c.imag = rng.standard_normal((2, V.dim))
+        starts.append(np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
+    return np.array(starts).reshape(-1, V.m, V.n)
+
+
 def _search(V: MatrixSubspace, seed: int, restarts: int):
     """Multi-start search of V (x) C for rank-one elements, yielding both
     witnesses; returns ``(rank_one, complex_pair)``, each None when nothing
     verified.
 
-    Each restart polishes a random complex combination X of the basis.  The
-    phase is rotated out, ``R = Re(X exp(-i theta))`` with ``theta`` half the
-    argument of the sum of the squared entries, and the R with the least
-    sigma_2/sigma_1 over all restarts is offered to :func:`verify_rank_one`;
-    a rank-one X neither isolated nor real up to a phase has R polished first.
+    Each restart draws a random complex combination of the basis, and
+    :func:`_polish` polishes all of them as one stack.  From each polished
+    X, in restart order, the phase is rotated out: ``R = Re(X exp(-i theta))``
+    with ``theta`` half the argument of the sum of the squared entries, and
+    the R with the least sigma_2/sigma_1 over all restarts is offered to
+    :func:`verify_rank_one`; a rank-one X neither isolated nor real up to a
+    phase has R polished first.
     A complex rank-one element z zeta^T of V (x) C, with z = a + ib and
     zeta = c + id, has real and imaginary parts [a b] diag(1, -1) [c d]^T and
     [a b] [[0, 1], [1, 0]] [c d]^T; unless a factor is real up to a phase,
@@ -156,11 +195,7 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
         witness = _extract_rank_one(V, V.basis[0])
         return (witness if verify_rank_one(V, witness) else None), None
     best_ratio, best, pair = np.inf, None, None
-    for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        c = np.empty(V.dim, dtype=complex)
-        c.real, c.imag = rng.standard_normal((2, V.dim))
-        X, ratio = _polish(V, np.tensordot(c / np.linalg.norm(c), V.basis, axes=1))
+    for X, ratio in _polish(V, _starts(V, seed, restarts)):
         R = (X * np.exp(-0.5j * np.angle(np.sum(X * X)))).real
         s = np.linalg.svd(R, compute_uv=False)
         R_ratio = s[1] / s[0]
@@ -170,7 +205,7 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
             system = _tangent_system(V, *np.linalg.svd(X)[::2])
             s = np.linalg.svd(system, compute_uv=False)
             if rank_from_singular_values(s) < system.shape[1]:
-                R, R_ratio = _polish(V, R / np.linalg.norm(R))
+                R, R_ratio = _polish(V, (R / np.linalg.norm(R))[None])[0]
         if R_ratio < best_ratio:
             best_ratio, best = R_ratio, R
         if pair is None and V.dim >= 2:

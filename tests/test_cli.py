@@ -314,6 +314,28 @@ def test_the_one_parser_carries_no_value_from_call_to_call(cli_files, tmp_path):
     assert (config["k_max"], config["format"]) == (8, "json")
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{conformal}"],
+    ["classify", "--input", "{conformal}"],
+    ["manifold", "--family", "conformal", "--dim", "3"],
+    ["verify", "--input", "{conformal}", "--poly", "{member}"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_rejected_when_parsed(cli_files, tmp_path, monkeypatch, capsys,
+                                                 argv):
+    import prolongation.cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli_mod, "_load_json", unreachable)
+    monkeypatch.setattr(cli_mod, "builtin_family", unreachable)
+    argv = [a.format(**cli_files) for a in argv]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv + ["--seed", "0", "--out", str(tmp_path / "report.json")]) == 0
+
+
 def test_fixed_restarts_take_no_flag(cli_files):
     assert main(["classify", "--input", cli_files["line"], "--restarts", "2"]) == 1
 

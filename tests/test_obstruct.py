@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -316,7 +318,8 @@ def test_whole_matrix_spaces_certify_rank_one():
 
 def test_isolated_complex_points_get_no_real_polish(rng, monkeypatch):
     # the rank-one points of P W Q (x) C are two conjugate isolated points,
-    # so no real element of V is polished after the complex start
+    # so no real element of V is polished after the complex starts; the
+    # starts are polished as one stack, so the members are counted
     calls = []
     polish = obstruct._polish
     monkeypatch.setattr(obstruct, "_polish", lambda V, X: calls.append(X) or polish(V, X))
@@ -324,7 +327,8 @@ def test_isolated_complex_points_get_no_real_polish(rng, monkeypatch):
                   well_conditioned(rng, 4))
     rank_one, pair = find_witnesses(V, seed=60, restarts=8)
     assert rank_one is None and pair is not None
-    assert len(calls) == 8 and all(np.iscomplexobj(X) for X in calls)
+    assert sum(len(X) for X in calls) == 8
+    assert all(np.iscomplexobj(X) for X in calls)
 
 
 def test_classify_whole_3x3_space_records_rank_one():
@@ -358,3 +362,77 @@ def test_badly_conditioned_planes_in_a_larger_space_certify_as_pairs():
         assert rank_one is None, seed
         pairs += pair is not None
     assert pairs >= 19
+
+
+# --- the lockstep polish ------------------------------------------------------
+
+def stack_corpus():
+    rng = np.random.default_rng(70)
+    w_pad = conjugate(complex_structure_plane(3, 4), well_conditioned(rng, 3),
+                      well_conditioned(rng, 4))
+    w, psi = rng.standard_normal((2, 3))
+    planted = make_subspace(3, 3, [np.outer(w, psi), *rng.standard_normal((2, 3, 3))])
+    whole = make_subspace(3, 2, list(np.eye(6).reshape(-1, 2, 3)))
+    g = np.random.default_rng(1000)
+    plane = conjugate(complex_structure_plane(3, 4), g.standard_normal((3, 3)),
+                      g.standard_normal((4, 4)))
+    sweep = make_subspace(4, 3, [*plane.basis, *g.standard_normal((2, 3, 4))])
+    return [conformal_subspace(3), skew_subspace(3), w_pad, planted, whole, sweep]
+
+
+def polish_one_at_a_time(V, X):
+    """Alternating projection on one matrix, written with the per-matrix
+    operations the stacked polish must reproduce to the bit."""
+    tol = obstruct.TOLERANCES
+    mark = np.inf
+    for step in itertools.count():
+        u, s, vh = np.linalg.svd(X)
+        ratio = s[1] / s[0]
+        if ratio < tol.polish_newton_ratio:
+            return obstruct._newton(V, X, u, s, vh, ratio)
+        if step % tol.polish_stall_window == 0:
+            if ratio > mark / 2:
+                return X, ratio
+            mark = ratio
+        Y = np.tensordot(V.flat @ (s[0] * np.outer(u[:, 0], vh[0])).ravel(), V.basis, axes=1)
+        X = Y / np.linalg.norm(Y)
+
+
+def test_a_stack_polishes_each_member_as_it_would_alone():
+    # members stop at different steps (Newton, stall) and must not share a
+    # norm or a stall mark: each matches its own stack of one, to the bit,
+    # and that matches the polish of the one matrix
+    for k, V in enumerate(stack_corpus()):
+        starts = obstruct._starts(V, seed=71 + k, restarts=6)
+        real = starts.real / np.linalg.norm(starts.real, axis=(1, 2), keepdims=True)
+        for stack in (starts, real):
+            polished = obstruct._polish(V, stack)
+            assert len(polished) == len(stack)
+            for i, (X, ratio) in enumerate(polished):
+                (alone, alone_ratio), = obstruct._polish(V, stack[i:i + 1])
+                single, single_ratio = polish_one_at_a_time(V, stack[i])
+                assert np.iscomplexobj(X) == np.iscomplexobj(stack), (k, i)
+                assert np.array_equal(X, alone) and ratio == alone_ratio, (k, i)
+                assert np.array_equal(X, single) and ratio == single_ratio, (k, i)
+
+
+def test_the_search_polishes_its_restarts_with_few_svds(monkeypatch):
+    # one restart at a time made 8,856 calls here: 201 projection steps each
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert find_witnesses(conformal_subspace(3), seed=7, restarts=64) == (None, None)
+    assert len(calls) <= 1000
+
+
+def test_no_restarts_search_nothing(rng):
+    V = make_subspace(3, 3, [np.outer(*rng.standard_normal((2, 3))),
+                             *rng.standard_normal((2, 3, 3))])
+    for restarts in (0, -3):
+        assert find_witnesses(V, seed=1, restarts=restarts) == (None, None)
+        assert find_rank_one(V, restarts=restarts) is None
+        assert find_complex_pair(V, restarts=restarts) is None
+        assert obstruct._polish(V, obstruct._starts(V, 1, restarts)) == []
+    # a row or column space needs no search
+    column = random_subspace(rng, 1, 3, 2)
+    assert find_witnesses(column, seed=0, restarts=0)[0] is not None
