@@ -133,7 +133,8 @@ def _polish(V: MatrixSubspace, X: np.ndarray) -> list[tuple[np.ndarray, float]]:
         live, mark, u, s, vh = live[keep], mark[keep], u[keep], s[keep], vh[keep]
         # project s_1 u_1 vh_1^T onto V, per member; these matmuls and the
         # vecdot norm round as V.flat @ v, tensordot and np.linalg.norm do on
-        # one matrix (a gemm against V.flat.T, or a norm over axes, does not)
+        # one matrix (a gemm against V.flat.T, or a norm over axes, does not);
+        # np.vecdot is why the package needs numpy 2.0
         top = s[:, :1, None] * (u[:, :, :1] * vh[:, None, 0])
         coef = np.matmul(V.flat, top.reshape(len(live), V.m * V.n, 1))
         Y = np.matmul(coef.reshape(len(live), 1, V.dim), V.flat)
