@@ -19,9 +19,9 @@ from .matspace import (
     MatrixSubspace,
     conjugate,
     distance,
+    largest_principal_angle,
     make_subspace,
     max_principal_angle,
-    principal_angles_rows,
     project,
     subspace_from_json,
     subspace_to_json,

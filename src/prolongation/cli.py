@@ -37,13 +37,13 @@ def _finite_float(text: str) -> float:
 
 def _load_json(path: str) -> dict:
     """Parse a JSON input file, rejecting NaN, Infinity, overflowing numbers,
-    true/false and strings, which no input field takes."""
+    true/false, null and strings, which no input field takes."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     stack = [(None, data)]  # (field name, value); list items keep their field's name
     while stack:
         key, value = stack.pop()
-        if isinstance(value, (bool, str)):
+        if value is None or isinstance(value, (bool, str)):
             where = f"field {key!r}" if key else "top level"
             raise ValueError(f"{json.dumps(value)} at {where} of {path}; fields are numbers")
         if isinstance(value, dict):

@@ -24,8 +24,7 @@ class Tolerances:
     singular_rel: float = 1e-12       # sigma_min/sigma_max rejecting a conjugating matrix
 
     # obstruction certificates
-    rank_one_ratio: float = 1e-7      # sigma_2/sigma_1 gate for rank-one candidates
-    certificate: float = 1e-7         # complex-pair conditions (rank, gaps, square)
+    certificate: float = 1e-7         # rank-one sigma_2/sigma_1 gate; complex-pair conditions
     certificate_distance: float = 1e-8  # distance of a witness's matrices from V
     quarter_turn_det: float = 1e-10   # |det S| below which the pair's frame is rejected
     polish_stall_window: int = 100    # projection steps over which sigma_2/sigma_1 must halve

@@ -16,10 +16,17 @@ from math import comb
 import numpy as np
 
 from .config import TOLERANCES
-from .matspace import MatrixSubspace, make_subspace, nullspace_rows, row_complement
+from .matspace import MatrixSubspace, _gram_schmidt, make_subspace, nullspace_rows, row_complement
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import chain
-from .symtensor import HomPoly, PolyMap, derivative_op, fd_jacobian, json_dimensions
+from .symtensor import (
+    HomPoly,
+    PolyMap,
+    derivative_op,
+    fd_jacobian,
+    json_dimensions,
+    polymap_to_json,
+)
 
 
 class DegeneratePointError(ValueError):
@@ -53,8 +60,6 @@ def _symmetric_basis(n: int, trace_free: bool) -> list:
         diag[i][i, i] = 1.0
     if trace_free:
         # orthonormalize the diagonal directions against the identity
-        from .matspace import _gram_schmidt
-
         eye = np.eye(n).ravel() / np.sqrt(n)
         vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], TOLERANCES.gram_schmidt_drop)
         out.extend(v.reshape(n, n) for v in vecs[1:])
@@ -284,8 +289,6 @@ class AugmentedSubspace:
 
 def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
     """Augmented subspace spanned by (matrix, vector) generator pairs."""
-    from .matspace import _gram_schmidt
-
     vecs = []
     for mat, vec in pairs:
         mat = np.asarray(mat, dtype=float)
@@ -318,8 +321,6 @@ class JetReport:
     particular: object = None
 
     def to_json(self) -> dict:
-        from .symtensor import polymap_to_json
-
         out = {
             "degree": self.degree,
             "dimension": self.dimension,
@@ -348,6 +349,8 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     A = np.asarray(A, dtype=float)
     if A.shape != (m, n):
         raise ValueError("first-order part has the wrong shape")
+    if not np.isfinite(A).all():
+        raise ValueError("first-order part has non-finite entries")
     perp = row_complement(v_aug.basis)
     q = perp.shape[0]
     perp_mat = perp[:, : m * n].reshape(q, m, n)   # matrix-part components
@@ -377,7 +380,8 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
 
     particular, *_ = np.linalg.lstsq(G, b, rcond=None)
     slack = TOLERANCES.jet_consistency * max(1.0, np.linalg.norm(b))
-    if np.linalg.norm(G @ particular - b) > slack:
+    # written so that a NaN residual reads inconsistent
+    if not np.linalg.norm(G @ particular - b) <= slack:
         return JetReport(degree=D, dimension=0, empty=True)
     null_rows = nullspace_rows(G)
 

@@ -55,38 +55,20 @@ def row_complement(B: np.ndarray) -> np.ndarray:
     return nullspace_rows(B)
 
 
-def _orth(A: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of A, dropping singular values
-    at or below eps * max(A.shape) * sigma_1."""
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
-    # in the column-major order LAPACK returns, so that the products taken
-    # from it round as scipy's do
-    return np.asfortranarray(u[:, :np.sum(s > tol, dtype=int)])
-
-
-def principal_angles_rows(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, largest first) between the row spans of two
-    stacks, by Knyazev and Argentati (SIAM J. Sci. Comput. 23, 2002), step
-    for step as ``scipy.linalg.subspace_angles`` computes them.  Angles whose
-    cosine has sigma^2 >= 1/2 come from the singular values of the residual
-    of one basis against the other (their sines), the rest from the cosines,
-    so angles near zero are resolved below the square root of machine
-    precision."""
-    if B1.shape[0] == 0 or B2.shape[0] == 0:
-        return np.zeros(0)
-    QA, QB = _orth(np.asarray(B1).T), _orth(np.asarray(B2).T)
-    cross = np.dot(QA.T, QB)
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if QA.shape[1] >= QB.shape[1]:
-        residual = QB - np.dot(QA, cross)
-    else:
-        residual = QA - np.dot(QB, cross.T)
-    mask = sigma ** 2 >= 0.5
-    sines = 0.0
-    if mask.any():
-        sines = np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), -1.0, 1.0))
-    return np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+def largest_principal_angle(B1: np.ndarray, B2: np.ndarray) -> float:
+    """Largest principal angle (radians) between the row spans of two stacks
+    of orthonormal rows; 0.0 when either is empty.  For the smaller stack B2,
+    the sine is the norm of B2's residual against B1 and the cosine the least
+    singular value of B2 B1^T: together they stay accurate near 0 and pi/2,
+    where an arccosine or an arcsine alone loses digits."""
+    if B1.shape[0] < B2.shape[0]:
+        B1, B2 = B2, B1
+    if B2.shape[0] == 0:
+        return 0.0
+    cross = B2 @ B1.T
+    sine = np.linalg.norm(B2 - cross @ B1, 2)
+    cosine = np.linalg.svd(cross, compute_uv=False)[-1]
+    return float(np.arctan2(sine, cosine))
 
 
 @dataclass
@@ -193,8 +175,7 @@ def conjugate(V: MatrixSubspace, P, Q) -> MatrixSubspace:
 
 
 def max_principal_angle(V1: MatrixSubspace, V2: MatrixSubspace) -> float:
-    angles = principal_angles_rows(V1.flat, V2.flat)
-    return float(angles[0]) if angles.size else 0.0
+    return largest_principal_angle(V1.flat, V2.flat)
 
 
 def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace,
@@ -204,8 +185,6 @@ def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace,
         angle_tol = TOLERANCES.subspace_angle
     if (V1.n, V1.m) != (V2.n, V2.m) or V1.dim != V2.dim:
         return False
-    if V1.dim == 0:
-        return True
     return max_principal_angle(V1, V2) <= angle_tol
 
 

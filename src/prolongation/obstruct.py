@@ -18,8 +18,8 @@ from .config import TOLERANCES
 from .matspace import (
     MatrixSubspace,
     distance,
+    largest_principal_angle,
     make_subspace,
-    principal_angles_rows,
     rank_from_singular_values,
 )
 from .prolong import ChainReport, DeltaStatus, chain
@@ -200,7 +200,7 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
         R = (X * np.exp(-0.5j * np.angle(np.sum(X * X)))).real
         s = np.linalg.svd(R, compute_uv=False)
         R_ratio = s[1] / s[0]
-        if ratio < TOLERANCES.rank_one_ratio <= R_ratio:
+        if ratio < TOLERANCES.certificate <= R_ratio:
             # X is genuinely complex; unless V meets the cone's tangent plane
             # at X in X alone (X isolated), real rank-one points may lie near R
             system = _tangent_system(V, *np.linalg.svd(X)[::2])
@@ -213,7 +213,7 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
             candidate = ComplexPairWitness(A=X.real, B=X.imag)
             if verify_complex_pair(V, candidate):
                 pair = candidate
-    if best_ratio < TOLERANCES.rank_one_ratio:
+    if best_ratio < TOLERANCES.certificate:
         witness = _extract_rank_one(V, best)
         if verify_rank_one(V, witness):
             return witness, pair
@@ -298,10 +298,8 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
         return False
     Ua, Ub = ua[:, :2], ub[:, :2]
     Va, Vb = vta[:2].T, vtb[:2].T
-    col_angles = principal_angles_rows(Ua.T, Ub.T)
-    row_angles = principal_angles_rows(Va.T, Vb.T)
-    residuals["colspace_gap"] = float(col_angles[0])
-    residuals["rowspace_gap"] = float(row_angles[0])
+    residuals["colspace_gap"] = largest_principal_angle(Ua.T, Ub.T)
+    residuals["rowspace_gap"] = largest_principal_angle(Va.T, Vb.T)
     if residuals["colspace_gap"] > tol.certificate:
         return False
     if residuals["rowspace_gap"] > tol.certificate:
@@ -332,8 +330,7 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     ref = complex_structure_plane(m, n)
     image = make_subspace(n, m, [P @ M @ Q for M in ref.basis])
     span = make_subspace(n, m, [A, B])
-    gap = principal_angles_rows(span.flat, image.flat)
-    residuals["span_gap"] = float(gap[0]) if gap.size else 0.0
+    residuals["span_gap"] = largest_principal_angle(span.flat, image.flat)
     return bool(
         span.dim == 2 and image.dim == 2 and residuals["span_gap"] <= tol.certificate
     )

@@ -180,7 +180,7 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     assert main(["detect", "--input", str(w_pad), "--restarts", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
         "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
-        "rank_one_ratio", "certificate", "certificate_distance", "quarter_turn_det",
+        "certificate", "certificate_distance", "quarter_turn_det",
         "fd_step", "manifold_fd_step", "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
 
@@ -430,20 +430,22 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
     assert "invalid input" in capsys.readouterr().err
 
 
-# --- no input field is a boolean or a string ----------------------------------
+# --- no input field is a boolean, null or a string ----------------------------
 
 @pytest.mark.parametrize("kind", ["subspace", "polynomial", "matrix", "augmented"])
 def test_json_booleans_are_exit_one(tmp_path, capsys, kind):
     """One entry of a valid file (the only 1.5 in it) is replaced by ``true``,
-    which a plain JSON reader would take as the number 1, or by a string,
-    which ``float`` would read as a number."""
+    which a plain JSON reader would take as the number 1, by ``null``, which
+    numpy would read as NaN, or by a string, which ``float`` would read as a
+    number.  A NaN in a jet matrix passed the consistency test and gave a
+    report with ``"empty": false``."""
     space = {"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, 1.5]]]}
     poly = {"n": 2, "m": 2, "terms": [
         {"degree": 1, "output": 1, "exponents": [1, 0], "value": 1.5}]}
     aug = {"n": 2, "m": 2, "generators": [{"matrix": np.eye(2).tolist(), "vector": [1.5, 0.0]}]}
     matrix = [[1.0, 0.0], [0.0, 1.5]]
     files = {"subspace": space, "polynomial": poly, "matrix": matrix, "augmented": aug}
-    for bad in ["true", '"nan"', '"1e400"', '"1.5"']:
+    for bad in ["true", "null", '"nan"', '"1e400"', '"1.5"']:
         paths = {}
         for name, data in files.items():
             text = json.dumps(data)
@@ -461,6 +463,14 @@ def test_json_booleans_are_exit_one(tmp_path, capsys, kind):
         assert main(argv) == 1, bad
         err = capsys.readouterr().err
         assert "invalid input" in err and bad in err and str(paths[kind]) in err, bad
+
+
+def test_a_json_null_in_a_chain_input_is_exit_one(tmp_path, capsys):
+    # numpy would read the null as NaN, and the SVD would fail to converge
+    path = tmp_path / "space.json"
+    path.write_text('{"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, null]]]}')
+    assert main(["chain", "--input", str(path)]) == 1
+    assert f"null at field 'generators' of {path}" in capsys.readouterr().err
 
 
 # --- the option table's defaults are the library's ---------------------------

@@ -276,6 +276,27 @@ def test_jet_rejects_bad_degree(rng):
         augmented_jet_space(aug, np.eye(3), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_jet_rejects_a_non_finite_first_order_part(bad):
+    aug = augment_with_full_range(conformal_subspace(3))
+    A = np.eye(3)
+    A[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        augmented_jet_space(aug, A, 2)
+
+
+def test_jet_reads_a_nan_residual_as_inconsistent(monkeypatch):
+    aug = augment_with_full_range(conformal_subspace(3))
+    lstsq = np.linalg.lstsq
+
+    def nan_solution(G, b, rcond=None):
+        x, *rest = lstsq(G, b, rcond=rcond)
+        return (np.full_like(x, np.nan), *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_solution)
+    assert augmented_jet_space(aug, np.eye(3), 2).empty
+
+
 def test_augmented_json_round_trip(rng):
     V = conformal_subspace(3)
     aug = augment_with_full_range(V)

@@ -8,10 +8,10 @@ from prolongation.matspace import (
     conjugate,
     distance,
     distances,
+    largest_principal_angle,
     make_subspace,
     max_principal_angle,
     nullspace_rows,
-    principal_angles_rows,
     project,
     rank_from_singular_values,
     row_space,
@@ -178,8 +178,7 @@ def test_row_space_and_kernel_split_the_columns(rng, rows, cols, rank):
         _, s, vh = np.linalg.svd(A, full_matrices=True)
         full_kernel = vh[rank_from_singular_values(s):]
         assert full_kernel.shape == kernel.shape
-        angles = principal_angles_rows(kernel, full_kernel)
-        assert angles.size == 0 or angles[0] <= 1e-12
+        assert largest_principal_angle(kernel, full_kernel) <= 1e-12
 
 
 def test_nullspace_rows_of_a_tall_matrix_skips_the_left_factor(rng):
@@ -206,53 +205,55 @@ def test_row_space_is_the_row_space_half_and_owns_its_rows(rng, rows, cols, rank
     assert rows_only.shape == (rank, cols)
     assert rows_only.base is None or rows_only.base.nbytes <= rows_only.nbytes
     assert np.linalg.norm(rows_only @ rows_only.T - np.eye(rank)) <= 1e-12
-    angles = principal_angles_rows(rows_only, row_space_and_kernel(A)[0])
-    assert angles.size == 0 or angles[0] <= 1e-12
+    assert largest_principal_angle(rows_only, row_space_and_kernel(A)[0]) <= 1e-12
 
 
-def _angle_cases(rng):
-    """Seeded pairs of stacks: orthonormal, near-equal with planted angles in
-    [1e-16, 1e-8], non-orthonormal, rank-deficient, and one side empty."""
+def _orthonormal_pairs(rng):
+    """Seeded pairs of stacks of orthonormal rows: independent, near-equal
+    with planted angles in [1e-16, 1e-8], the same with extra rows on one
+    side, and one side empty."""
     for case in range(2400):
         N = int(rng.integers(2, 41))
         k1, k2 = (int(k) for k in rng.integers(1, N + 1, size=2))
-        kind = case % 5
+        kind = case % 4
         if kind == 0:
             yield (np.linalg.qr(rng.standard_normal((N, k1)))[0].T,
                    np.linalg.qr(rng.standard_normal((N, k2)))[0].T)
-        elif kind == 1:
+        elif kind in (1, 2):
             k = max(1, min(k1, N // 2))
-            Q = np.linalg.qr(rng.standard_normal((N, 2 * k)))[0]
+            extra = int(rng.integers(0, N - 2 * k + 1)) if kind == 2 else 0
+            Q = np.linalg.qr(rng.standard_normal((N, 2 * k + extra)))[0]
             theta = 10.0 ** rng.uniform(-16, -8, size=k)
-            yield Q[:, :k].T, (np.cos(theta) * Q[:, :k] + np.sin(theta) * Q[:, k:]).T
-        elif kind == 2:
-            yield (rng.standard_normal((k1, N)) * 10.0 ** rng.uniform(-3, 3),
-                   rng.standard_normal((k2, N)))
-        elif kind == 3:
-            r = int(rng.integers(0, min(k1, N) + 1))
-            yield (rng.standard_normal((k1, r)) @ rng.standard_normal((r, N)),
-                   rng.standard_normal((k2, N)))
+            yield (np.hstack([Q[:, :k], Q[:, 2 * k:]]).T,
+                   (np.cos(theta) * Q[:, :k] + np.sin(theta) * Q[:, k:2 * k]).T)
         else:
-            yield np.zeros((0, N)), rng.standard_normal((k2, N))
+            yield np.zeros((0, N)), np.linalg.qr(rng.standard_normal((N, k2)))[0].T
 
 
-def test_principal_angles_match_scipy(rng):
+def test_largest_principal_angle_matches_scipy(rng):
     from scipy.linalg import subspace_angles
 
-    for B1, B2 in _angle_cases(rng):
+    for B1, B2 in _orthonormal_pairs(rng):
         for X, Y in ((B1, B2), (B2, B1)):
-            ours = principal_angles_rows(X, Y)
             oracle = subspace_angles(X.T, Y.T)
-            assert ours.shape == oracle.shape
-            small = oracle < np.pi / 4
-            assert np.array_equal(ours[small], oracle[small])
-            assert np.all(np.abs(ours - oracle) <= 1e-12)
+            # the largest angle of no angles reads 0
+            expected = oracle[0] if oracle.size else 0.0
+            assert abs(largest_principal_angle(X, Y) - expected) <= 1e-12
 
 
 def test_principal_angles_resolve_planted_small_angles(rng):
     Q = np.linalg.qr(rng.standard_normal((12, 6)))[0]
-    theta = np.array([1e-9, 1e-12, 1e-15])
-    angles = principal_angles_rows(Q[:, :3].T, (np.cos(theta) * Q[:, :3]
-                                                + np.sin(theta) * Q[:, 3:]).T)
-    # the cosine alone would read 0 for all three
-    assert np.all(np.abs(angles - theta) <= 1e-15)
+
+    def planted(theta):
+        k = len(theta)
+        return Q[:, :k].T, (np.cos(theta) * Q[:, :k] + np.sin(theta) * Q[:, k:2 * k]).T
+
+    # an arccosine alone would read 0 for all three
+    tiny = planted(np.array([1e-9, 1e-12, 1e-15]))
+    assert abs(largest_principal_angle(*tiny) - 1e-9) <= 1e-15
+    # only the largest angle is read, whatever the smaller ones are
+    assert abs(largest_principal_angle(*planted(np.array([1.2, 1e-12]))) - 1.2) <= 1e-14
+    for B1, B2 in ((Q[:, :0].T, Q[:, :3].T), (Q[:, :3].T, Q[:, :0].T), (Q[:, :0].T,) * 2):
+        assert largest_principal_angle(B1, B2) == 0.0
+    for B1, B2 in ((Q[:, :2].T, Q[:, 2:5].T), (Q[:, 2:5].T, Q[:, :2].T)):
+        assert abs(largest_principal_angle(B1, B2) - np.pi / 2) <= 1e-12

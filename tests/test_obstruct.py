@@ -9,7 +9,6 @@ from prolongation.matspace import (
     conjugate,
     distance,
     make_subspace,
-    principal_angles_rows,
     row_complement,
     subspaces_equal,
 )

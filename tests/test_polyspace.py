@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import conformal_subspace, random_polymap, skew_subspace, well_conditioned
-from prolongation.matspace import distance, make_subspace, principal_angles_rows, subspaces_equal
+from prolongation.matspace import distance, largest_principal_angle, make_subspace, subspaces_equal
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.polyspace import (
     PolyBasis, _sample_ball, reduced_basis, solution_basis, verify_membership,
@@ -48,8 +48,7 @@ def test_solution_basis_conformal_three():
     ])
     oracle_rows /= np.linalg.norm(oracle_rows, axis=1, keepdims=True)
     q, _ = np.linalg.qr(oracle_rows.T)
-    angles = principal_angles_rows(quad_rows, q.T)
-    assert angles[0] <= 1e-8
+    assert largest_principal_angle(quad_rows, q.T) <= 1e-8
 
 
 def test_solution_basis_quaternion_is_affine():
