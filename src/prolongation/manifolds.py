@@ -16,13 +16,14 @@ from math import comb
 import numpy as np
 
 from .config import TOLERANCES
-from .matspace import MatrixSubspace, _gram_schmidt, make_subspace, nullspace_rows, row_complement
+from .matspace import (MatrixSubspace, _gram_schmidt, make_subspace, nullspace_rows,
+                       rank_from_singular_values, row_complement, row_space)
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import chain
 from .symtensor import (
     HomPoly,
     PolyMap,
-    derivative_op,
+    derivative_coords,
     fd_jacobian,
     json_dimensions,
     polymap_to_json,
@@ -296,10 +297,7 @@ def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
         if mat.shape != (m, n) or vec.shape != (m,):
             raise ValueError("generator pair has wrong shapes")
         vecs.append(np.concatenate([mat.ravel(), vec]))
-    basis = _gram_schmidt(vecs, TOLERANCES.gram_schmidt_drop)
-    if not basis:
-        return AugmentedSubspace(n, m, np.zeros((0, m * n + m)))
-    return AugmentedSubspace(n, m, np.array(basis))
+    return AugmentedSubspace(n, m, np.array(_gram_schmidt(vecs, TOLERANCES.gram_schmidt_drop)))
 
 
 def augment_with_full_range(V: MatrixSubspace) -> AugmentedSubspace:
@@ -336,12 +334,14 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
     """Polynomial maps u of degree <= D with u(0) = 0, Du(0) = A and
     (Du(xi), u(xi)) in the augmented subspace for every xi.
 
-    Write u = u_1 + ... + u_D with u_j homogeneous of degree j.  The
-    xi-degree-d part of the identity couples only Du_{d+1} and u_d, so the
-    system is block-bidiagonal in d, built from the derivative table.
-    u_1 = A is known and moves to the right-hand side.  The report carries
-    the dimension of the solution set's linear part and a basis, or
-    ``empty`` when the affine constraints are inconsistent.
+    Write u = u_1 + ... + u_D with u_d homogeneous of degree d.  Du(xi)
+    lies in V0, the span of the matrix parts, so the unknowns are each u_d's
+    coordinates in V0's degree-d chain space.  The xi-degree-e part of the
+    identity couples only the Jacobian of u_{e+1} and the value of u_e.
+    u_1 = A is one fixed coordinate whose column is the right-hand side, and
+    one SVD gives the minimum-norm particular solution and the kernel.  The
+    report carries the kernel's dimension and a basis, or ``empty`` when the
+    affine constraints are inconsistent.
     """
     n, m = v_aug.n, v_aug.m
     if D < 1:
@@ -351,55 +351,46 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
         raise ValueError("first-order part has the wrong shape")
     if not np.isfinite(A).all():
         raise ValueError("first-order part has non-finite entries")
-    perp = row_complement(v_aug.basis)
-    q = perp.shape[0]
-    perp_mat = perp[:, : m * n].reshape(q, m, n)   # matrix-part components
+    if not np.isfinite(v_aug.basis).all():
+        raise ValueError("augmented subspace has non-finite entries")
+    perp = nullspace_rows(v_aug.basis)
+    perp_mat = perp[:, : m * n].reshape(-1, m, n)  # matrix-part components
     perp_vec = perp[:, m * n:]                      # vector-part components
+    spaces = chain(MatrixSubspace(n, m, row_space(v_aug.basis[:, : m * n])), D).spaces
+    # the chain stops at its first empty degree, and every degree above is empty
+    bases = [A.reshape(1, m * n)] + [space.rows for space in spaces[2:] if space.dim]
 
-    # u_1..u_D side by side; u_j has columns cols[j]:cols[j + 1]
-    num = [comb(n + d - 1, d) for d in range(D + 1)]  # monomials of degree d
-    cols = np.cumsum([0, 0] + [m * c for c in num[1:]])
-    blocks = []
-    for d in range(D + 1):
-        block = np.zeros((q * num[d], cols[-1]))
-        if d < D:  # Jacobian of u_{d+1}: perp_mat against every d_i
-            index, exponent = derivative_op(n, d + 1)
-            jac = np.zeros((q, num[d], m, num[d + 1]))
-            jac[:, np.arange(num[d])[:, None], :, index] = (
-                np.moveaxis(perp_mat, 2, 0) * exponent[:, :, None, None])
-            block[:, cols[d + 1]:cols[d + 2]] = jac.reshape(q * num[d], m * num[d + 1])
-        if d > 0:  # value of u_d
-            block[:, cols[d]:cols[d + 1]] = np.kron(perp_vec, np.eye(num[d]))
-        blocks.append(block)
-    G = np.vstack(blocks)[:, m * n:]
-    # the known u_1 = A enters through its Jacobian at xi-degree 0 and its
-    # value at xi-degree 1
-    b = np.zeros(G.shape[0])
-    b[:q] = -(perp_mat.reshape(q, m * n) @ A.ravel())
-    b[q:q * (n + 1)] = [-(perp_vec[r] @ A[:, g]) for r in range(q) for g in range(n)]
+    # rows of xi-degree e start at offsets[e]; u_d's block fills degrees d-1 and d
+    offsets = np.cumsum([0] + [len(perp) * comb(n + e - 1, e) for e in range(len(bases) + 1)])
+    sizes = [len(rows) for rows in bases]
+    G = np.zeros((offsets[-1], sum(sizes)))
+    for d, rows, col in zip(range(1, len(bases) + 1), bases, np.cumsum([0] + sizes)):
+        jac = np.einsum("raj,iabj->rbi", perp_mat, derivative_coords(rows, n, m, d))
+        value = np.einsum("ra,iab->rbi", perp_vec, rows.reshape(-1, m, comb(n + d - 1, d)))
+        G[offsets[d - 1]:offsets[d + 1], col:col + len(rows)] = np.concatenate(
+            [jac.reshape(-1, len(rows)), value.reshape(-1, len(rows))])
+    b, G = -G[:, 0], G[:, 1:]
 
-    particular, *_ = np.linalg.lstsq(G, b, rcond=None)
+    u, s, vh = np.linalg.svd(G, full_matrices=G.shape[0] < G.shape[1])
+    rank = rank_from_singular_values(s)
+    particular = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     slack = TOLERANCES.jet_consistency * max(1.0, np.linalg.norm(b))
     # written so that a NaN residual reads inconsistent
     if not np.linalg.norm(G @ particular - b) <= slack:
         return JetReport(degree=D, dimension=0, empty=True)
-    null_rows = nullspace_rows(G)
 
-    def to_polymap(vec):
+    def to_polymap(first, coords):
         comps = {}
-        for j in range(1, D + 1):
-            block = vec[cols[j]:cols[j + 1]]
+        pieces = np.split(np.concatenate([[first], coords]), np.cumsum(sizes)[:-1])
+        for d, rows, piece in zip(range(1, len(bases) + 1), bases, pieces):
+            block = piece @ rows
             if np.max(np.abs(block), initial=0.0) > 0.0:
-                comps[j] = HomPoly.from_coeff_vector(n, m, j, block)
+                comps[d] = HomPoly.from_coeff_vector(n, m, d, block)
         return PolyMap(n, m, comps or {1: HomPoly.zero(n, m, 1)})
 
-    return JetReport(
-        degree=D,
-        dimension=null_rows.shape[0],
-        empty=False,
-        basis=[to_polymap(np.concatenate([np.zeros(m * n), row])) for row in null_rows],
-        particular=to_polymap(np.concatenate([A.ravel(), particular])),
-    )
+    return JetReport(degree=D, dimension=len(vh) - rank, empty=False,
+                     basis=[to_polymap(0.0, row) for row in vh[rank:]],
+                     particular=to_polymap(1.0, particular))
 
 
 # --- JSON forms -------------------------------------------------------------

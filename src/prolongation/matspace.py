@@ -104,8 +104,10 @@ class MatrixSubspace:
 
 def _gram_schmidt(vectors, drop_tol):
     basis = []
-    for v in vectors:
+    for i, v in enumerate(vectors):
         v = np.asarray(v, dtype=float).ravel().copy()
+        if not np.isfinite(v).all():  # NaN would pass the drop test below
+            raise ValueError(f"generator {i} has non-finite entries")
         orig = np.linalg.norm(v)
         if orig == 0.0:
             continue
@@ -126,10 +128,7 @@ def make_subspace(n: int, m: int, generators) -> MatrixSubspace:
     for g in gens:
         if g.shape != (m, n):
             raise ValueError(f"generator has shape {g.shape}, expected {(m, n)}")
-    basis = _gram_schmidt(gens, TOLERANCES.gram_schmidt_drop)
-    if not basis:
-        return MatrixSubspace(n, m, np.zeros((0, m, n)))
-    return MatrixSubspace(n, m, np.array(basis).reshape(-1, m, n))
+    return MatrixSubspace(n, m, np.array(_gram_schmidt(gens, TOLERANCES.gram_schmidt_drop)))
 
 
 def project(A, V: MatrixSubspace) -> np.ndarray:

@@ -25,7 +25,8 @@ from itertools import combinations
 import numpy as np
 
 from .matspace import MatrixSubspace, distances, row_complement, row_space, row_space_and_kernel
-from .symtensor import HomPoly, derivative_op, polymap_to_json, PolyMap, slot_table
+from .symtensor import (HomPoly, derivative_coords, derivative_op, polymap_to_json, PolyMap,
+                        slot_table)
 from math import comb
 
 
@@ -210,12 +211,10 @@ def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
         raise ValueError("the recursion characterizes degrees >= 2")
     n, m, dim = V.n, V.m, prev.dim
     above = comb(n + k - 2, k - 1)
-    basis = prev.rows.reshape(dim, m, above)
     below = m * comb(n + k - 3, k - 2)
     # partials[j] sends c_i to the degree-(k-2) coefficients of d_j q_i
-    index, exponent = derivative_op(n, k - 1)
-    partials = [(basis[:, :, index[:, j]] * exponent[:, j]).reshape(dim, below).T
-                for j in range(n)]
+    coords = derivative_coords(prev.rows, n, m, k - 1)
+    partials = [coords[..., j].reshape(dim, below).T for j in range(n)]
     pairs = list(combinations(range(n), 2))
     system = np.zeros((len(pairs) * below, n * dim))
     for block, (i, j) in enumerate(pairs):

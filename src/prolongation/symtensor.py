@@ -79,6 +79,14 @@ def derivative_op(n: int, k: int) -> tuple:
     return index, exponent
 
 
+def derivative_coords(rows, n: int, m: int, k: int) -> np.ndarray:
+    """Partials of a stack of degree-k coefficient rows, shape (dim, m,
+    C(n+k-2, k-1), n): entry [i, a, b, j] is coefficient b of d_j of output a
+    of row i, so [i, :, b, :] is row i's Jacobian on the b-th monomial."""
+    index, exponent = derivative_op(n, k)
+    return np.asarray(rows, dtype=float).reshape(-1, m, comb(n + k - 1, k))[:, :, index] * exponent
+
+
 @dataclass
 class HomPoly:
     """Homogeneous degree-k polynomial map R^n -> R^m in monomial coordinates.

@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from conftest import conformal_subspace, skew_subspace, well_conditioned
 from prolongation.manifolds import (
+    AugmentedSubspace,
     DegeneratePointError,
     augment_with_full_range,
     augmented_from_json,
@@ -15,7 +18,8 @@ from prolongation.manifolds import (
     sample_analysis,
     tangent_space,
 )
-from prolongation.matspace import make_subspace, max_principal_angle, subspaces_equal
+from prolongation.matspace import (make_subspace, max_principal_angle, nullspace_rows,
+                                   subspaces_equal)
 from prolongation.obstruct import complex_structure_plane
 from prolongation.prolong import chain
 from prolongation.symtensor import hom_dim
@@ -285,16 +289,122 @@ def test_jet_rejects_a_non_finite_first_order_part(bad):
         augmented_jet_space(aug, A, 2)
 
 
+def test_jet_rejects_a_non_finite_augmented_subspace():
+    # built directly, past make_augmented's own check
+    aug = AugmentedSubspace(1, 1, np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        augmented_jet_space(aug, np.array([[0.0]]), 2)
+
+
+def test_make_augmented_rejects_a_non_finite_generator():
+    with pytest.raises(ValueError, match="generator 1 has non-finite entries"):
+        make_augmented(1, 1, [(np.array([[1.0]]), np.array([2.0])),
+                              (np.array([[1.0]]), np.array([np.inf]))])
+
+
 def test_jet_reads_a_nan_residual_as_inconsistent(monkeypatch):
-    aug = augment_with_full_range(conformal_subspace(3))
-    lstsq = np.linalg.lstsq
+    """The solve's own SVD returns a NaN left factor, so the particular
+    solution and its residual are NaN; the gate must read that as
+    inconsistent.  The chain's SVDs, called from matspace, are left alone."""
+    import sys
 
-    def nan_solution(G, b, rcond=None):
-        x, *rest = lstsq(G, b, rcond=rcond)
-        return (np.full_like(x, np.nan), *rest)
+    aug = make_augmented(1, 1, [(np.array([[1.0]]), np.array([2.0]))])
+    assert not augmented_jet_space(aug, np.array([[0.0]]), 6).empty
+    svd = np.linalg.svd
 
-    monkeypatch.setattr(np.linalg, "lstsq", nan_solution)
-    assert augmented_jet_space(aug, np.eye(3), 2).empty
+    def nan_left_factor(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "augmented_jet_space":
+            u = np.full_like(u, np.nan)
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", nan_left_factor)
+    assert augmented_jet_space(aug, np.array([[0.0]]), 6).empty
+
+
+def _value_coupled(seed):
+    """A seeded subspace of pairs cut out by 1-3 generic constraints, with a
+    first-order part that is random (mostly inconsistent), zero, or drawn
+    from the pairs (A, 0) of the subspace."""
+    rng = np.random.default_rng([7, seed])
+    n, m, D = (int(v) for v in rng.integers(1, [4, 4, 5]))
+    constraints = int(rng.integers(1, min(4, m * n + m)))
+    aug = make_augmented(n, m, [(rng.standard_normal((m, n)), rng.standard_normal(m))
+                                for _ in range(m * n + m - constraints)])
+    if seed % 3 == 0:
+        return aug, rng.standard_normal((m, n)), D
+    fixed = nullspace_rows(nullspace_rows(aug.basis)[:, : m * n])
+    A = rng.standard_normal(len(fixed)) @ fixed if seed % 3 == 2 else np.zeros(m * n)
+    return aug, A.reshape(m, n), D
+
+
+def _sampled_identity_oracle(aug, A, D, rng):
+    """Dimension and emptiness from the identity itself, sampled at more
+    generic points than there are monomials of degree <= D, over every
+    monomial coefficient of u_2 .. u_D; exponents and derivatives are
+    written out here rather than read from the library."""
+    from itertools import combinations_with_replacement
+
+    n, m = aug.n, aug.m
+    perp = np.linalg.svd(aug.basis)[2][aug.dim:]
+    perp_mat, perp_vec = perp[:, : m * n].reshape(-1, m, n), perp[:, m * n:]
+    E = np.array([np.bincount(c, minlength=n) for d in range(2, D + 1)
+                  for c in combinations_with_replacement(range(n), d)]).reshape(-1, n)
+    points = rng.standard_normal((3 * comb(n + D, D) + 5, n))
+    value = np.prod(points[:, None, :] ** E, axis=2)                  # (point, e)
+    lowered = np.maximum(E - np.eye(n, dtype=int)[:, None, :], 0)     # (j, e, n)
+    grad = E.T * np.prod(points[:, None, None, :] ** lowered, axis=3)  # (point, j, e)
+    # unknown (a, e): value e_a xi^e, Jacobian e_a (grad xi^e)^T
+    b = -(perp_mat.reshape(len(perp), -1) @ A.ravel() + points @ (perp_vec @ A).T).ravel()
+    G = (np.einsum("raj,pje->prae", perp_mat, grad)
+         + perp_vec[None, :, :, None] * value[:, None, None, :]).reshape(len(b), m * len(E))
+    s = np.linalg.svd(G, compute_uv=False)
+    rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+    x = np.linalg.lstsq(G, b, rcond=None)[0]
+    empty = np.linalg.norm(G @ x - b) > 1e-7 * max(1.0, np.linalg.norm(b))
+    return (0 if empty else G.shape[1] - rank), bool(empty)
+
+
+def test_value_coupled_jets_against_a_sampled_identity_oracle():
+    from prolongation.symtensor import jacobian
+
+    rng = np.random.default_rng(0)
+    seen = set()
+    for seed in range(72):
+        aug, A, D = _value_coupled(seed)
+        report = augmented_jet_space(aug, A, D)
+        dimension, empty = _sampled_identity_oracle(aug, A, D, rng)
+        assert (report.dimension, report.empty) == (dimension, empty), seed
+        seen.add("empty" if empty else "positive" if dimension else "zero")
+        if empty:
+            continue
+        assert np.array_equal(report.particular.degree_component(1).coeffs, A)
+        perp = nullspace_rows(aug.basis)
+        for F in report.basis + [report.particular]:
+            for xi in rng.standard_normal((5, aug.n)):
+                pair = np.concatenate([jacobian(F, xi).ravel(), F.evaluate(xi)])
+                assert np.linalg.norm(perp @ pair) <= 1e-9 * max(1.0, np.linalg.norm(pair))
+    assert seen == {"empty", "zero", "positive"}
+
+
+def test_jet_never_calls_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("augmented_jet_space called np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    augmented_jet_space(augment_with_full_range(conformal_subspace(3)), np.eye(3), 4)
+    for seed in range(6):
+        augmented_jet_space(*_value_coupled(seed))
+
+
+def test_conformal_five_jet_in_chain_coordinates():
+    """Full-range conformal 5 to D = 5: alpha is [5, 11, 5], so the jet has
+    the 5 free quadratic directions.  A dense system over all 1,230 coefficients
+    takes seconds here, so this pins that the unknowns stay the chain's
+    coordinates."""
+    V = conformal_subspace(5)
+    report = augmented_jet_space(augment_with_full_range(V), V.basis[0], 5)
+    assert not report.empty and report.dimension == 5
 
 
 def test_augmented_json_round_trip(rng):

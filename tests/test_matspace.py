@@ -42,6 +42,13 @@ def test_make_subspace_rejects_bad_shape():
         make_subspace(2, 2, [np.zeros((3, 2))])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_make_subspace_rejects_a_non_finite_generator(bad):
+    # a NaN generator used to survive Gram-Schmidt as an all-NaN basis row
+    with pytest.raises(ValueError, match="generator 1 has non-finite entries"):
+        make_subspace(2, 2, [I2, [[bad, 0.0], [0.0, 1.0]]])
+
+
 def test_basis_is_orthonormal(rng):
     V = random_subspace(rng, 3, 3, 4)
     gram = V.flat @ V.flat.T

@@ -9,6 +9,7 @@ from prolongation.symtensor import (
     HomPoly,
     PolyMap,
     contract,
+    derivative_coords,
     derivative_op,
     derive,
     hom_dim,
@@ -55,6 +56,18 @@ def test_derive_examples():
     univariate = HomPoly.zero(2, 1, 2)
     univariate.coeffs[0, monomial_index(2, 2)[(2, 0)]] = 1.0
     assert derive(univariate, 1).is_zero()
+
+
+@pytest.mark.parametrize("n, m, k, dim", [(1, 1, 1, 2), (1, 3, 4, 3), (2, 2, 1, 3),
+                                          (3, 2, 3, 4), (4, 1, 2, 2), (3, 2, 2, 0)])
+def test_derivative_coords_stacks_every_partial(rng, n, m, k, dim):
+    polys = [random_hompoly(rng, n, m, k) for _ in range(dim)]
+    rows = np.array([p.coeff_vector() for p in polys]).reshape(dim, m * comb(n + k - 1, k))
+    coords = derivative_coords(rows, n, m, k)
+    assert coords.shape == (dim, m, comb(n + k - 2, k - 1), n)
+    for i, p in enumerate(polys):
+        for j in range(n):
+            assert np.array_equal(coords[i, ..., j], derive(p, j).coeffs)
 
 
 def test_derive_rejects_degree_zero():
