@@ -19,14 +19,13 @@ class Tolerances:
     # linear algebra substrate
     rank_rel: float = 1e-9            # SVD rank / nullspace threshold (relative)
     gram_schmidt_drop: float = 1e-10  # generator dropped below this residual fraction
-    orthonormality: float = 1e-10     # pairwise basis inner-product slack
+    orthonormality: float = 1e-10     # unit-norm slack of a rank-one witness
     subspace_angle: float = 1e-8      # max principal angle for subspace equality
     singular_rel: float = 1e-12       # sigma_min/sigma_max rejecting a conjugating matrix
 
     # obstruction certificates
     certificate: float = 1e-7         # rank-one sigma_2/sigma_1 gate; complex-pair conditions
     certificate_distance: float = 1e-8  # distance of a witness's matrices from V
-    quarter_turn_det: float = 1e-10   # |det S| below which the pair's frame is rejected
     polish_stall_window: int = 100    # projection steps over which sigma_2/sigma_1 must halve
     polish_newton_ratio: float = 1e-2  # sigma_2/sigma_1 below which Newton steps finish the polish
 

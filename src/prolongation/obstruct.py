@@ -267,13 +267,17 @@ def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
 
 
 def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
-    """Check the certificate and reconstruct explicit conjugating matrices.
+    """Certify X = A + iB as a rank-one element z zeta^T of V (x) C whose
+    factors are not real up to a phase; on success annotate P and Q.
 
-    Conditions: both matrices have numerical rank two, share column and row
-    spaces, the transition map between their restrictions squares to minus
-    the identity, and both lie in V.  On success the witness is annotated
-    with P, Q such that the span of the pair equals P times the reference
-    plane times Q, which is re-checked by principal angles.
+    One SVD of X gives its sigma_2/sigma_1 (residual ``rank_one``) and
+    z = sigma_1 u_1, zeta = vh_1.  With the frames F = [Re z, Im z] and
+    G = [Re zeta; -Im zeta], P = [F | column complement] and
+    Q = [G; row complement] give P I_pad Q = Re(z zeta^T) and
+    P J_pad Q = Im(z zeta^T).  The product of the frames' sigma_2/sigma_1
+    must exceed ``certificate``; it bounds that ratio of A and of B from
+    below.  Both matrices must lie in V, and the span of the pair is
+    re-checked against that of P I_pad Q, P J_pad Q.
     """
     A = np.asarray(witness.A, dtype=float)
     B = np.asarray(witness.B, dtype=float)
@@ -286,54 +290,29 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
         return False
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return False
-    ua, sa, vta = np.linalg.svd(A)
-    ub, sb, vtb = np.linalg.svd(B)
-    # written so that a zero matrix fails: rank below two leaves the
-    # restrictions singular
-    if not (sa[1] > tol.certificate * sa[0] and sb[1] > tol.certificate * sb[0]):
+    u, s, vh = np.linalg.svd(A + 1j * B)
+    residuals["rank_one"] = float(s[1] / s[0]) if s[0] > 0 else np.inf  # a zero X fails
+    if residuals["rank_one"] > tol.certificate:
         return False
-    residuals["rank_a"] = float(sa[2] / sa[0]) if sa.size > 2 else 0.0
-    residuals["rank_b"] = float(sb[2] / sb[0]) if sb.size > 2 else 0.0
-    if residuals["rank_a"] > tol.certificate or residuals["rank_b"] > tol.certificate:
-        return False
-    Ua, Ub = ua[:, :2], ub[:, :2]
-    Va, Vb = vta[:2].T, vtb[:2].T
-    residuals["colspace_gap"] = largest_principal_angle(Ua.T, Ub.T)
-    residuals["rowspace_gap"] = largest_principal_angle(Va.T, Vb.T)
-    if residuals["colspace_gap"] > tol.certificate:
-        return False
-    if residuals["rowspace_gap"] > tol.certificate:
-        return False
-    A_t = Ua.T @ A @ Va
-    B_t = Ua.T @ B @ Va
-    C = B_t @ np.linalg.inv(A_t)
-    residuals["complex_structure"] = float(np.linalg.norm(C @ C + np.eye(2)))
-    if residuals["complex_structure"] > tol.certificate:
+    z, zeta = s[0] * u[:, 0], vh[0]
+    F = np.column_stack([z.real, z.imag])
+    G = np.vstack([zeta.real, -zeta.imag])
+    uf, sf, _ = np.linalg.svd(F)
+    _, sg, vhg = np.linalg.svd(G)
+    if not sf[1] * sg[1] > tol.certificate * sf[0] * sg[0]:
         return False
     residuals["distance_a"] = distance(A, V)
     residuals["distance_b"] = distance(B, V)
-    if residuals["distance_a"] > tol.certificate_distance:
+    if max(residuals["distance_a"], residuals["distance_b"]) > tol.certificate_distance:
         return False
-    if residuals["distance_b"] > tol.certificate_distance:
-        return False
-
-    # explicit conjugation: with S taking the transition map to the
-    # quarter-turn, P = [Ua S | col complement], Q = [S^-1 A_t Va^T ; row
-    # complement] satisfy P * I_pad * Q = A and P * J_pad * Q = B.
-    s1 = np.array([1.0, 0.0])
-    S = np.column_stack([s1, C @ s1])
-    if abs(np.linalg.det(S)) < tol.quarter_turn_det:
-        return False
-    P = np.hstack([Ua @ S, ua[:, 2:]])
-    Q = np.vstack([np.linalg.solve(S, A_t) @ Va.T, vta[2:]])
+    P = np.hstack([F, uf[:, 2:]])
+    Q = np.vstack([G, vhg[2:]])
     witness.P, witness.Q = P, Q
     ref = complex_structure_plane(m, n)
     image = make_subspace(n, m, [P @ M @ Q for M in ref.basis])
     span = make_subspace(n, m, [A, B])
     residuals["span_gap"] = largest_principal_angle(span.flat, image.flat)
-    return bool(
-        span.dim == 2 and image.dim == 2 and residuals["span_gap"] <= tol.certificate
-    )
+    return bool(span.dim == image.dim == 2 and residuals["span_gap"] <= tol.certificate)
 
 
 # --- combined classification ----------------------------------------------

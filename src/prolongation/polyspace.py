@@ -90,10 +90,10 @@ class MembershipReport:
         }
 
 
-def _sample_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    g = rng.standard_normal(n)
-    g /= np.linalg.norm(g)
-    return radius * rng.uniform() ** (1.0 / n) * g
+def _sample_ball(rng: np.random.Generator, n: int, radius: float, count: int) -> np.ndarray:
+    g = rng.standard_normal((count, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return radius * rng.uniform(size=(count, 1)) ** (1.0 / n) * g
 
 
 def verify_membership(F, V: MatrixSubspace, samples: int = 100,
@@ -110,7 +110,7 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
     if samples < 1 or not radius > 0:
         raise ValueError("need at least one sample and a positive radius")
     rng = np.random.default_rng(seed)
-    points = np.array([_sample_ball(rng, V.n, radius) for _ in range(samples)])
+    points = _sample_ball(rng, V.n, radius, samples)
     if isinstance(F, PolyMap):
         J = jacobian(F, points)
     else:

@@ -180,7 +180,7 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     assert main(["detect", "--input", str(w_pad), "--restarts", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
         "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
-        "certificate", "certificate_distance", "quarter_turn_det",
+        "certificate", "certificate_distance",
         "fd_step", "manifold_fd_step", "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
 

@@ -160,13 +160,64 @@ def test_verify_complex_pair_examples():
     assert verify_complex_pair(W, good)
     assert good.P is not None and good.Q is not None
 
+    # (1 + i) I_pad has rank two
     same = ComplexPairWitness(A=I_pad, B=I_pad.copy())
     assert not verify_complex_pair(W, same)
-    assert same.residuals["complex_structure"] > 1.0
+    assert same.residuals["rank_one"] > 0.1
 
     full_rank = ComplexPairWitness(A=np.eye(3), B=J_pad)
     assert not verify_complex_pair(make_subspace(3, 3, [np.eye(3), J_pad]), full_rank)
-    assert full_rank.residuals["rank_a"] > 1e-7
+    assert full_rank.residuals["rank_one"] > 0.1
+
+
+def test_verify_complex_pair_takes_one_svd_before_rejecting(monkeypatch):
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].dtype) or svd(*a, **k))
+    V = make_subspace(3, 3, [np.eye(3), pad(np.array([[0.0, -1.0], [1.0, 0.0]]), 3, 3)])
+    witness = ComplexPairWitness(A=V.basis[0].copy(), B=V.basis[1].copy())
+    assert not verify_complex_pair(V, witness)
+    assert calls == [np.dtype(complex)]
+
+
+def test_verify_complex_pair_rejects_a_real_rank_one_element_turned_by_a_phase(rng):
+    w, psi = unit(rng.standard_normal(3)), unit(rng.standard_normal(4))
+    V = make_subspace(4, 3, [np.outer(w, psi), rng.standard_normal((3, 4))])
+    turned = np.exp(0.7j) * np.outer(w, psi)
+    witness = ComplexPairWitness(A=turned.real, B=turned.imag)
+    assert not verify_complex_pair(V, witness)
+    # rank one and in V, but both factors are real up to a phase: the frame
+    # gate, between the rank-one gate and the distances, rejects it
+    assert witness.residuals["rank_one"] <= 1e-7
+    assert "distance_a" not in witness.residuals
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["B=JA", "B=-JA"])
+def test_verify_complex_pair_conjugating_matrices_reproduce_the_pair(rng, sign):
+    W = complex_structure_plane(3, 4)
+    I_pad, J_pad = np.sqrt(2.0) * W.basis[0], np.sqrt(2.0) * W.basis[1]
+    P0, Q0 = well_conditioned(rng, 3), well_conditioned(rng, 4)
+    lam = complex(*rng.standard_normal(2))
+    X = lam * (P0 @ (I_pad + 1j * sign * J_pad) @ Q0)
+    witness = ComplexPairWitness(A=X.real, B=X.imag)
+    assert verify_complex_pair(conjugate(W, P0, Q0), witness)
+    P, Q = witness.P, witness.Q
+    for M, target in ((I_pad, X.real), (J_pad, X.imag)):
+        assert np.linalg.norm(P @ M @ Q - target) <= 1e-12 * np.linalg.norm(X)
+
+
+def test_verify_complex_pair_gates_the_product_of_the_frame_ratios():
+    # each frame's sigma_2/sigma_1 is 1e-4, above the certificate, but
+    # A = F G has sigma_2/sigma_1 = 1e-8, below it
+    F = pad(np.diag([1.0, 1e-4]), 3, 2)
+    G = pad(np.diag([1.0, 1e-4]), 2, 3)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    A, B = F @ G, F @ J @ G
+    s = np.linalg.svd(A, compute_uv=False)
+    assert s[1] / s[0] < 1e-7
+    witness = ComplexPairWitness(A=A, B=B)
+    assert not verify_complex_pair(make_subspace(3, 3, [A, B]), witness)
+    assert witness.residuals["rank_one"] <= 1e-7
+    assert "distance_a" not in witness.residuals
 
 
 def test_verify_complex_pair_fails_closed():

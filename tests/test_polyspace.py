@@ -175,11 +175,12 @@ def test_verify_membership_fails_on_a_non_finite_residual():
                          ids=["conformal", "dim-0"])
 @pytest.mark.parametrize("seed", [0, 9])
 def test_verify_membership_is_the_worst_per_point_distance(rng, V, seed):
-    # the points are drawn one at a time, in order, from the seeded generator
+    # the points are drawn in one call from the seeded generator
     F = random_polymap(rng, 3, 3, 4)
     report = verify_membership(F, V, samples=40, radius=0.8, seed=seed)
-    draw = np.random.default_rng(seed)
-    worst = max(distance(jacobian(F, _sample_ball(draw, 3, 0.8)), V) for _ in range(40))
+    points = _sample_ball(np.random.default_rng(seed), 3, 0.8, 40)
+    assert points.shape == (40, 3) and np.all(np.linalg.norm(points, axis=1) <= 0.8)
+    worst = max(distance(jacobian(F, x), V) for x in points)
     assert not report.passed
     assert abs(report.max_residual - worst) <= 1e-12 * max(1.0, worst)
 
