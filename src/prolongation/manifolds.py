@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TOLERANCES
 from .matspace import (MatrixSubspace, _gram_schmidt, make_subspace, nullspace_rows,
-                       rank_from_singular_values, row_complement, row_space)
+                       rank_from_singular_values, row_space)
 from .obstruct import classify_delta_full, complex_structure_plane
 from .prolong import chain
 from .symtensor import (
@@ -105,7 +105,7 @@ def quaternion_right_multiplications() -> MatrixSubspace:
 
 def linear_family(V: MatrixSubspace, name: str = "custom-linear") -> ConstraintFamily:
     """Family whose constraint set is the subspace V itself."""
-    perp = row_complement(V.flat)
+    perp = nullspace_rows(V.flat)
 
     def defining(A):
         return perp @ A.ravel()

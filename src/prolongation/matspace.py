@@ -51,8 +51,12 @@ def nullspace_rows(A: np.ndarray) -> np.ndarray:
 
 
 def row_complement(B: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the orthogonal complement of the row span of B."""
-    return nullspace_rows(B)
+    """Orthonormal rows spanning the orthogonal complement of the row span of
+    B, shape (B.shape[1] - B.shape[0], B.shape[1]).  B must have orthonormal
+    rows: the complement is read from a complete QR of B^T, which decides no
+    rank.  A copy, so that it does not keep the square factor alive."""
+    q, _ = np.linalg.qr(B.T, mode="complete")
+    return q[:, B.shape[0]:].T.copy()
 
 
 def largest_principal_angle(B1: np.ndarray, B2: np.ndarray) -> float:

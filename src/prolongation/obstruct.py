@@ -274,10 +274,12 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     z = sigma_1 u_1, zeta = vh_1.  With the frames F = [Re z, Im z] and
     G = [Re zeta; -Im zeta], P = [F | column complement] and
     Q = [G; row complement] give P I_pad Q = Re(z zeta^T) and
-    P J_pad Q = Im(z zeta^T).  The product of the frames' sigma_2/sigma_1
-    must exceed ``certificate``; it bounds that ratio of A and of B from
-    below.  Both matrices must lie in V, and the span of the pair is
-    re-checked against that of P I_pad Q, P J_pad Q.
+    P J_pad Q = Im(z zeta^T); the complements are scaled to each frame's
+    sigma_1, so P and Q are conditioned by the pair's geometry alone.  The
+    product of the frames' sigma_2/sigma_1 must exceed ``certificate``; it
+    bounds that ratio of A and of B from below.  Both matrices must lie in
+    V, and the span of the pair is re-checked against that of P I_pad Q,
+    P J_pad Q.
     """
     A = np.asarray(witness.A, dtype=float)
     B = np.asarray(witness.B, dtype=float)
@@ -305,8 +307,8 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
     residuals["distance_b"] = distance(B, V)
     if max(residuals["distance_a"], residuals["distance_b"]) > tol.certificate_distance:
         return False
-    P = np.hstack([F, uf[:, 2:]])
-    Q = np.vstack([G, vhg[2:]])
+    P = np.hstack([F, sf[0] * uf[:, 2:]])
+    Q = np.vstack([G, sg[0] * vhg[2:]])
     witness.P, witness.Q = P, Q
     ref = complex_structure_plane(m, n)
     image = make_subspace(n, m, [P @ M @ Q for M in ref.basis])

@@ -6,17 +6,13 @@ homogeneous polynomial maps whose slot matrices all lie in V; equivalently
 space.  The chain of dimensions alpha_k, their sum alpha and the largest
 nonzero degree delta are the invariants everything downstream consumes.
 
-Two constructions are provided on purpose: :func:`mk_direct` assembles the
-full slot-membership system at a given degree, while :func:`mk_step` exploits
-the derivative recursion and keeps each linear system small.  ``chain``
-uses the recursion; the direct route is retained as an independent oracle.
-
-The recursion has two exact forms, and :func:`mk_step` takes the one with
-fewer unknowns at each degree.  :func:`ambient_step` solves for all
-``m * C(n+k-1, k)`` coefficients of a degree-k map, which suits a space
-that fills most of its degree.  :func:`delta_step` solves for the
-coordinates of the partials in the previous degree's basis, Spencer's
-delta complex, whose size follows the dimension of the space instead.
+Each degree has two exact constructions, and :func:`mk_step` takes the one
+with fewer unknowns.  :func:`mk_direct` solves the definition, the
+slot-membership system over all ``m * C(n+k-1, k)`` coefficients of a
+degree-k map, which suits a space that fills most of its degree.
+:func:`delta_step` solves for the coordinates of the partials in the
+previous degree's basis, Spencer's delta complex, whose size follows the
+dimension of the space instead.  Each is the other's oracle.
 """
 
 from dataclasses import dataclass, field
@@ -30,14 +26,6 @@ from .symtensor import (HomPoly, derivative_coords, derivative_op, polymap_to_js
 from math import comb
 
 
-def _complement(stack: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the orthogonal complement of an orthonormal
-    stack, from a complete QR: the stack has full rank, so no rank is
-    decided.  A copy, so that it does not keep the square factor alive."""
-    q, _ = np.linalg.qr(stack.T, mode="complete")
-    return q[:, stack.shape[0]:].T.copy()
-
-
 @dataclass
 class HomSolutionSpace:
     """Space of admissible homogeneous maps of one degree.
@@ -45,9 +33,9 @@ class HomSolutionSpace:
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
     up to the nullspace rank decisions.  ``perp`` holds orthonormal rows
-    spanning the orthogonal complement of ``rows``.  A step stores the half
-    it produced, ``_rows`` or ``_perp``; the other half is built from it on
-    first use and kept.
+    spanning the orthogonal complement of ``rows``.  A construction stores
+    the half it produced, ``_rows`` or ``_perp``; the other half is built
+    from it by :func:`row_complement` on first use and kept.
     """
 
     degree: int
@@ -59,13 +47,13 @@ class HomSolutionSpace:
     @property
     def rows(self) -> np.ndarray:
         if self._rows is None:
-            self._rows = _complement(self._perp)
+            self._rows = row_complement(self._perp)
         return self._rows
 
     @property
     def perp(self) -> np.ndarray:
         if self._perp is None:
-            self._perp = _complement(self._rows)
+            self._perp = row_complement(self._rows)
         return self._perp
 
     @property
@@ -148,7 +136,12 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
 
     Nullspace of the map sending a degree-k coefficient vector to the
     components of all its slot matrices along the orthogonal complement
-    of V.  Degree 0 returns all constants.
+    of V.  Slot matrix b times k!/beta! has column j equal to
+    ``exponent[b, j]`` times coefficient ``index[b, j]`` (the
+    :func:`derivative_op` table), a row scaling that keeps the kernel and
+    keeps every entry between 1 and k.  One thin SVD gives the row space of
+    the system, the complement of the space, which is all it stores.
+    Degree 0 returns all constants.
     """
     n, m = V.n, V.m
     if k < 0:
@@ -156,44 +149,19 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     if k == 0:
         return constants_space(n, m)
     perp = row_complement(V.flat).reshape(-1, m, n)  # (q, m, n)
-    index, weight = slot_table(n, k)
+    index, exponent = derivative_op(n, k)
+    monomials = comb(n + k - 1, k)
     # slot b of a map reads coefficient index[b, j] of each output into column j
-    system = np.zeros((len(index), len(perp), m, comb(n + k - 1, k)))
+    system = np.zeros((len(index), len(perp), m, monomials))
     system[np.arange(len(index))[:, None], :, :, index] = (
-        np.moveaxis(perp, 2, 0) * weight[:, :, None, None])
-    system = system.reshape(-1, m * comb(n + k - 1, k))
-    perp_k, rows = row_space_and_kernel(system)
-    return HomSolutionSpace(k, n, m, rows.copy(), perp_k.copy())
+        np.moveaxis(perp, 2, 0) * exponent[:, :, None, None])
+    return HomSolutionSpace(k, n, m, _perp=row_space(system.reshape(-1, m * monomials)))
 
 
 def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:
     if prev.n != V.n or prev.m != V.m:
         raise ValueError("previous space does not match the subspace dimensions")
     return prev.degree + 1
-
-
-def ambient_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
-    """Degree k >= 2 maps whose partials lie in ``prev``, solved over all
-    m * C(n+k-1, k) coefficients.
-
-    The partial d_i p lies in ``prev`` iff ``prev.perp`` annihilates its
-    coefficients.  The kernel of that system is the degree-k space, and a
-    thin SVD gives its row space, the complement of that space, which is
-    all the step stores.
-    """
-    k = _step_degree(V, prev)
-    if k < 2:
-        raise ValueError("the recursion characterizes degrees >= 2")
-    n, m = V.n, V.m
-    # complement inside degree-(k-1) coefficients, one (m, monomial) block per row
-    r = prev.perp.shape[0]
-    perp = prev.perp.reshape(r, m, comb(n + k - 2, k - 1))
-    index, exponent = derivative_op(n, k)
-    monomials = comb(n + k - 1, k)
-    system = np.zeros((n, r, m, monomials))
-    for i in range(n):  # coefficient b of d_i p is exponent[b, i] times p's index[b, i]
-        system[i][..., index[:, i]] = perp * exponent[:, i]
-    return HomSolutionSpace(k, n, m, _perp=row_space(system.reshape(n * r, m * monomials)))
 
 
 def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
@@ -237,8 +205,9 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     The recursion only characterizes degrees >= 2; from the constants it
     returns V itself as linear maps, which is the degree-1 space by
     definition.  Above that, the step runs :func:`delta_step` when it has
-    fewer unknowns, ``n * dim(prev) < m * C(n+k-1, k)``, and
-    :func:`ambient_step` otherwise.
+    fewer unknowns, ``n * dim(prev) < m * C(n+k-1, k)``, and solves degree k
+    by :func:`mk_direct` otherwise, reading nothing of ``prev`` but its
+    degree and dimension.
     """
     k = _step_degree(V, prev)
     n, m = V.n, V.m
@@ -248,8 +217,9 @@ def mk_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
     if prev.dim == 0:
         # derivatives of a nonzero homogeneous map cannot all vanish
         return HomSolutionSpace(k, n, m, np.zeros((0, m * comb(n + k - 1, k))))
-    step = delta_step if n * prev.dim < m * comb(n + k - 1, k) else ambient_step
-    return step(V, prev)
+    if n * prev.dim < m * comb(n + k - 1, k):
+        return delta_step(V, prev)
+    return mk_direct(V, k)
 
 
 def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:

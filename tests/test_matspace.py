@@ -14,6 +14,7 @@ from prolongation.matspace import (
     nullspace_rows,
     project,
     rank_from_singular_values,
+    row_complement,
     row_space,
     row_space_and_kernel,
     subspace_from_json,
@@ -213,6 +214,21 @@ def test_row_space_is_the_row_space_half_and_owns_its_rows(rng, rows, cols, rank
     assert rows_only.base is None or rows_only.base.nbytes <= rows_only.nbytes
     assert np.linalg.norm(rows_only @ rows_only.T - np.eye(rank)) <= 1e-12
     assert largest_principal_angle(rows_only, row_space_and_kernel(A)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 6), (6, 6), (4, 9), (1, 30)],
+                         ids=["zero-row", "square", "thin", "one-row"])
+def test_row_complement_of_orthonormal_rows_is_a_qr_complement(rng, rows, cols, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no SVD may run")
+
+    B = np.linalg.qr(rng.standard_normal((cols, rows)))[0].T
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    perp = row_complement(B)
+    assert perp.shape == (cols - rows, cols)
+    assert np.linalg.norm(perp @ perp.T - np.eye(cols - rows)) <= 1e-12
+    assert np.linalg.norm(perp @ B.T) <= 1e-12
+    assert perp.base is None
 
 
 def _orthonormal_pairs(rng):

@@ -205,6 +205,27 @@ def test_verify_complex_pair_conjugating_matrices_reproduce_the_pair(rng, sign):
         assert np.linalg.norm(P @ M @ Q - target) <= 1e-12 * np.linalg.norm(X)
 
 
+def test_verify_complex_pair_conditions_p_and_q_by_geometry_not_scale(rng):
+    # the complement columns of P and rows of Q are scaled to the frames,
+    # so each one's sigma_min/sigma_max is the same at every scale of the pair
+    def conditioning(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return s[-1] / s[0]
+
+    for m, n in ((3, 3), (2, 2), (4, 3), (5, 4)):
+        W = complex_structure_plane(m, n)
+        P0, Q0 = well_conditioned(rng, m), well_conditioned(rng, n)
+        V = conjugate(W, P0, Q0)
+        X = P0 @ (W.basis[0] + 1j * W.basis[1]) @ Q0
+        ratios = []
+        for scale in (1e-7, 1.0, 1e7):
+            witness = ComplexPairWitness(A=scale * X.real, B=scale * X.imag)
+            assert verify_complex_pair(V, witness), (m, n, scale)
+            ratios.append((conditioning(witness.P), conditioning(witness.Q)))
+        assert np.allclose(ratios, ratios[1], rtol=1e-6), (m, n, ratios)
+        assert min(min(r) for r in ratios) > 0.1, (m, n, ratios)
+
+
 def test_verify_complex_pair_gates_the_product_of_the_frame_ratios():
     # each frame's sigma_2/sigma_1 is 1e-4, above the certificate, but
     # A = F G has sigma_2/sigma_1 = 1e-8, below it

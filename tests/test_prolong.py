@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
 from prolongation.matspace import conjugate, distance, largest_principal_angle, make_subspace
 import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
-    ambient_step,
+    HomSolutionSpace,
     chain,
     constants_space,
     delta_step,
@@ -132,10 +133,11 @@ def test_complements_above_degree_two(rng):
 
 
 def test_mk_step_runs_one_svd_and_reuses_the_previous_complement(rng, monkeypatch):
-    import prolongation.prolong as prolong_mod
-
     V = random_subspace(rng, 3, 2, 4)
     spaces = run_step_chain(V, 2)
+    # degree 2 is a tie, solved directly: build the basis the first delta
+    # step reads from its stored complement before counting
+    spaces[-1].rows
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
@@ -160,11 +162,11 @@ def maps_into(n, m, u):
 
 def record_routes(monkeypatch):
     routes = []
-    for name in ("delta_step", "ambient_step"):
+    for name in ("delta_step", "mk_direct"):
         step = getattr(prolong_mod, name)
         monkeypatch.setattr(prolong_mod, name,
-                            lambda V, prev, step=step, name=name:
-                            routes.append(name) or step(V, prev))
+                            lambda V, arg, step=step, name=name:
+                            routes.append(name) or step(V, arg))
     return routes
 
 
@@ -184,18 +186,34 @@ def test_mk_step_delta_route_runs_one_svd_and_no_complement(rng, monkeypatch):
     assert [space.dim for space in spaces] == [3, 2, 2, 2, 2, 2]
 
 
-def test_ambient_step_reuses_the_complement_of_an_ambient_step(monkeypatch):
+def test_a_wide_step_runs_one_thin_svd_of_the_slot_system(monkeypatch):
+    # trace-free 3 is wide from degree 2 on: each step factors the slot system
+    # of V's one complement matrix, C(n+k-2, k-1) rows, and nothing else
     V = trace_free_subspace(3)
-    prev = ambient_step(V, mk_step(V, constants_space(3, 3)))
-    calls = []
+    prev = mk_step(V, mk_step(V, constants_space(3, 3)))
+    routes = record_routes(monkeypatch)
+    shapes = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-    monkeypatch.setattr(prolong_mod, "row_complement", None)
-    for _ in range(2):
-        calls.clear()
-        prev = ambient_step(V, prev)
-        assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True, **kw:
+                        shapes.append((np.shape(a), full_matrices))
+                        or svd(a, full_matrices=full_matrices, **kw))
+    for k in (3, 4):
+        shapes.clear()
+        prev = mk_step(V, prev)
+        assert shapes == [((comb(k + 1, k - 1), 3 * comb(k + 2, k)), False)]
+    assert routes == ["mk_direct"] * 2
     assert prev.dim == 35
+
+
+def test_a_wide_step_reads_nothing_of_prev_but_its_degree_and_dim(rng):
+    V = trace_free_subspace(3)
+    prev = chain(V, 2).spaces[-1]
+    q, _ = np.linalg.qr(rng.standard_normal(prev._perp.T.shape))
+    scrambled = HomSolutionSpace(prev.degree, 3, 3, _perp=q.T)
+    assert scrambled.dim == prev.dim
+    space = mk_step(V, scrambled)
+    assert space._rows is None
+    assert np.array_equal(space._perp, mk_direct(V, 3)._perp)
 
 
 def step_route_corpus(rng):
@@ -219,51 +237,50 @@ def step_route_corpus(rng):
     return cases
 
 
-def test_delta_and_ambient_steps_both_match_mk_direct(rng):
+def test_delta_step_and_mk_direct_match_on_every_route_case(rng):
+    # each route is the other's oracle, on wide degrees as on tall ones
     for V, prev in step_route_corpus(rng):
         direct = mk_direct(V, prev.degree + 1)
-        for step in (delta_step, ambient_step):
-            space = step(V, prev)
-            assert space.degree == direct.degree
-            assert spaces_match(space, direct), (step.__name__, V.n, V.m, V.dim, prev.degree)
+        space = delta_step(V, prev)
+        assert space.degree == direct.degree
+        assert spaces_match(space, direct), (V.n, V.m, V.dim, prev.degree)
 
 
 def test_steps_reject_the_degree_one_step(rng):
     V = random_subspace(rng, 2, 2, 2)
-    for step in (delta_step, ambient_step):
-        with pytest.raises(ValueError):
-            step(V, constants_space(2, 2))
+    with pytest.raises(ValueError):
+        delta_step(V, constants_space(2, 2))
 
 
-def test_chain_switches_from_the_delta_to_the_ambient_route(rng, monkeypatch):
+def test_chain_switches_from_the_delta_to_the_direct_route(rng, monkeypatch):
     # unknowns n * alpha_{k-1} against m * C(n+k-1, k): 16 < 18, then 24 = 24
-    # (a tie goes ambient) and 32 > 30
+    # (a tie goes direct) and 32 > 30
     V = conjugate(maps_into(2, 6, 4), well_conditioned(rng, 6), well_conditioned(rng, 2))
     routes = record_routes(monkeypatch)
     report = chain(V, 4)
-    assert routes == ["delta_step", "ambient_step", "ambient_step"]
+    assert routes == ["delta_step", "mk_direct", "mk_direct"]
     assert report.alpha == [6, 8, 12, 16, 20]
     for space in report.spaces:
         assert spaces_match(space, mk_direct(V, space.degree)), space.degree
         assert_complement_invariants(space)
 
 
-def test_a_tie_in_unknowns_runs_the_ambient_route(rng, monkeypatch):
+def test_a_tie_in_unknowns_runs_the_direct_route(rng, monkeypatch):
     # a generic 10-dim subspace of 4x4 at k = 2: 4 * 10 unknowns either way
     V = random_subspace(rng, 4, 4, 10)
     prev = mk_step(V, constants_space(4, 4))
     routes = record_routes(monkeypatch)
     space = mk_step(V, prev)
-    assert routes == ["ambient_step"]
-    assert spaces_match(space, mk_direct(V, 2))
+    assert routes == ["mk_direct"]
+    assert spaces_match(space, delta_step(V, prev))
 
 
 def test_spaces_do_not_pin_their_svd_factors(monkeypatch):
-    # every degree above 2 of trace-free 4 solves the ambient system, whose
-    # SVD factor is as wide as the degree
+    # every degree above 2 of trace-free 4 solves the slot system, whose SVD
+    # factor is as wide as the degree
     routes = record_routes(monkeypatch)
     report = chain(trace_free_subspace(4), 4)
-    assert routes[1:] == ["ambient_step"] * 2
+    assert routes[1:] == ["mk_direct"] * 2
     for space in report.spaces:
         for array in (space.rows, space._perp):
             if array is not None:
@@ -277,12 +294,11 @@ def test_mk_direct_does_not_pin_its_svd_factor():
         assert array.base is None or array.base.nbytes <= array.nbytes
 
 
-def test_wide_ambient_step_stores_only_its_complement(monkeypatch):
-    # trace-free 6 from degree 4 to 5: a 336 x 1512 system whose kernel,
-    # the 1386-row basis, is 16.8 MB
+def test_wide_step_stores_only_its_complement(monkeypatch):
+    # trace-free 6 from degree 4 to 5: the 126 x 1512 slot system of V's one
+    # complement matrix, whose kernel, the 1386-row basis, is 16.8 MB
     V = trace_free_subspace(6)
     prev = chain(V, 4).spaces[-1]
-    prev.perp  # the complement the step reads, built before the measurement
     # the derivative table is cached across calls; measure the step alone
     derivative_op(6, 5)
     shapes = []
@@ -292,12 +308,12 @@ def test_wide_ambient_step_stores_only_its_complement(monkeypatch):
                         or svd(a, full_matrices=full_matrices, **kw))
     tracemalloc.start()
     try:
-        space = ambient_step(V, prev)
+        space = mk_step(V, prev)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert space.dim == 1386
-    assert shapes == [((336, 1512), False)]
+    assert shapes == [((126, 1512), False)]
     assert peak <= 16e6
     assert retained <= 5e6
 
@@ -320,7 +336,7 @@ def test_a_long_chain_keeps_no_dense_derivative_operators():
 
 def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("no SVD or row complement may run")
+        raise AssertionError("no SVD may run")
 
     cases = [(trace_free_subspace(3), 2),
              (conjugate(maps_into(2, 5, 4), well_conditioned(rng, 5),
@@ -328,19 +344,15 @@ def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch)
     for V, degree in cases:
         prev = chain(V, degree).spaces[-1]
         direct, direct_next = mk_direct(V, degree + 1), mk_direct(V, degree + 2)
-        space = ambient_step(V, prev)
+        space = mk_step(V, prev)
         assert space._rows is None
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", refuse)
-            patch.setattr(prolong_mod, "row_complement", refuse)
             assert space.dim == direct.dim
             assert_complement_invariants(space)
         assert spaces_match(space, direct)
-        # the ambient-to-delta switch builds the basis it factors from the complement
-        fresh = ambient_step(V, prev)
-        with monkeypatch.context() as patch:
-            patch.setattr(prolong_mod, "row_complement", refuse)
-            assert spaces_match(delta_step(V, fresh), direct_next)
+        # the direct-to-delta switch factors the basis built from the complement
+        assert spaces_match(delta_step(V, mk_step(V, prev)), direct_next)
 
 
 def test_chain_cost_scales_with_alpha_on_a_tall_chain(rng, monkeypatch):
@@ -351,7 +363,7 @@ def test_chain_cost_scales_with_alpha_on_a_tall_chain(rng, monkeypatch):
                         lambda a, *args, **kw: widths.append(np.shape(a)[-1]) or svd(a, *args, **kw))
     report = chain(V, 8)
     assert report.alpha == [5] + [2] * 8
-    # the ambient system at k = 8 is 2475 columns wide
+    # the slot system at k = 8 is 2475 columns wide
     assert widths and max(widths) <= 64
 
 
