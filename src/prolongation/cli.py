@@ -28,28 +28,32 @@ from .prolong import chain
 from .symtensor import polymap_from_json
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} in input")
-    return value
+def _finite_numbers(values) -> bool:
+    """Whether every value is an int or float that is finite as a double."""
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the double range
+        return False
 
 
 def _load_json(path: str) -> dict:
     """Parse a JSON input file, rejecting NaN, Infinity, overflowing numbers,
     true/false, null and strings, which no input field takes."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        data = json.load(fh)
     stack = [(None, data)]  # (field name, value); list items keep their field's name
     while stack:
         key, value = stack.pop()
-        if value is None or isinstance(value, (bool, str)):
-            where = f"field {key!r}" if key else "top level"
-            raise ValueError(f"{json.dumps(value)} at {where} of {path}; fields are numbers")
         if isinstance(value, dict):
             stack.extend(value.items())
         elif isinstance(value, list):
-            stack.extend((key, item) for item in value)
+            if not _finite_numbers(value):
+                stack.extend((key, item) for item in value)
+        elif not _finite_numbers((value,)):
+            where = "top level" if key is None else f"field {key!r}"
+            shown = (f"{len(str(abs(value)))}-digit integer" if type(value) is int
+                     else json.dumps(value))
+            raise ValueError(f"{shown} at {where} of {path}; fields are finite numbers")
     return data
 
 
@@ -59,8 +63,9 @@ def _emit(report: dict, config: dict | None, out: str | None) -> None:
     if config is not None and config["format"] == "table":
         text = _render_table(payload)
     else:
-        # strict JSON: a NaN or Infinity raises ValueError instead of being written
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # one line through the C encoder, which an indent would turn off; strict
+        # JSON: a NaN or Infinity raises ValueError instead of being written
+        text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -32,10 +32,9 @@ class HomSolutionSpace:
 
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
-    up to the nullspace rank decisions.  ``perp`` holds orthonormal rows
-    spanning the orthogonal complement of ``rows``.  A construction stores
-    the half it produced, ``_rows`` or ``_perp``; the other half is built
-    from it by :func:`row_complement` on first use and kept.
+    up to the nullspace rank decisions.  A construction stores ``_rows``, or
+    ``_perp``, orthonormal rows spanning the orthogonal complement of
+    ``rows``, from which :func:`row_complement` builds ``rows`` on first use.
     """
 
     degree: int
@@ -49,12 +48,6 @@ class HomSolutionSpace:
         if self._rows is None:
             self._rows = row_complement(self._perp)
         return self._rows
-
-    @property
-    def perp(self) -> np.ndarray:
-        if self._perp is None:
-            self._perp = row_complement(self._rows)
-        return self._perp
 
     @property
     def dim(self) -> int:
@@ -128,7 +121,7 @@ class ChainReport:
 
 def constants_space(n: int, m: int) -> HomSolutionSpace:
     """Degree-0 space: every constant map is admissible."""
-    return HomSolutionSpace(0, n, m, np.eye(m), np.zeros((0, m)))
+    return HomSolutionSpace(0, n, m, np.eye(m))
 
 
 def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:

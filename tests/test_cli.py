@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prolongation.cli import main
 from prolongation.matspace import subspace_to_json
@@ -400,6 +405,29 @@ def test_a_non_finite_report_value_is_exit_one(conformal_file, monkeypatch, caps
     assert "invalid input" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--input", "{conformal}"],
+    ["polysolve", "--input", "{conformal}"],
+    ["jet", "--input-augmented", "{aug}", "--matrix", "{matrix}", "--degree", "2"],
+    ["verify", "--input", "{conformal}", "--poly", "{member}", "--samples", "3"],
+    ["classify", "--input", "{line}", "--kmax", "3"],
+    ["manifold", "--family", "conformal", "--dim", "3", "--emit-tangent"],
+], ids=lambda argv: argv[0])
+def test_reports_are_one_compact_line_from_the_c_encoder(cli_files, tmp_path, monkeypatch,
+                                                         argv):
+    import json.encoder
+
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    out = tmp_path / "report.json"
+    assert main([a.format(**cli_files) for a in argv] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # --- every JSON input rejects numbers that are not finite floats -------------
 
 @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "1" + "0" * 400],
@@ -413,6 +441,8 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
     aug = {"n": 2, "m": 2, "generators": [{"matrix": np.eye(2).tolist(), "vector": [0.25, 0.0]}]}
     matrix = [[1.0, 0.0], [0.0, 0.25]]
     files = {"subspace": space, "polynomial": poly, "matrix": matrix, "augmented": aug}
+    where = {"subspace": "field 'generators'", "polynomial": "field 'value'",
+             "matrix": "top level", "augmented": "field 'vector'"}
     paths = {}
     for name, data in files.items():
         text = json.dumps(data)
@@ -427,7 +457,8 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
         argv = ["jet", "--input-augmented", str(paths["augmented"]),
                 "--matrix", str(paths["matrix"]), "--degree", "2"]
     assert main(argv) == 1
-    assert "invalid input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid input" in err and f"{where[kind]} of {paths[kind]}" in err
 
 
 # --- no input field is a boolean, null or a string ----------------------------
@@ -471,6 +502,53 @@ def test_a_json_null_in_a_chain_input_is_exit_one(tmp_path, capsys):
     path.write_text('{"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, null]]]}')
     assert main(["chain", "--input", str(path)]) == 1
     assert f"null at field 'generators' of {path}" in capsys.readouterr().err
+
+
+# --- the reader: numbers parsed in C, then one checking walk ------------------
+
+_KEYS = st.text("abxyz", min_size=1, max_size=3)
+_DOCUMENTS = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**300, 10**300),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16)
+_BAD_LEAVES = ["true", "null", '"1.5"', "NaN", "-Infinity", "1e400", "1" + "0" * 400]
+
+
+def _leaves(container, field=None):
+    """(container, index, field name) of every leaf; list items keep their field's name."""
+    is_dict = isinstance(container, dict)
+    for index, item in container.items() if is_dict else enumerate(container):
+        name = index if is_dict else field
+        if isinstance(item, (dict, list)):
+            yield from _leaves(item, name)
+        else:
+            yield container, index, name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(document=_DOCUMENTS, data=st.data())
+def test_the_reader_loads_what_json_loads_and_names_each_rejected_leaf(document, data):
+    from prolongation.cli import _load_json
+
+    holder = [document]  # a leaf at the top level still has a container
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        assert _load_json(path) == json.loads(json.dumps(document))
+        leaves = list(_leaves(holder))
+        if not leaves:
+            return
+        container, index, field = data.draw(st.sampled_from(leaves))
+        container[index] = "@bad@"
+        bad = data.draw(st.sampled_from(_BAD_LEAVES))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(holder[0]).replace('"@bad@"', bad))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["chain", "--input", path]) == 1
+    where = "top level" if field is None else f"field {field!r}"
+    assert f"{where} of {path}" in err.getvalue()
 
 
 # --- the option table's defaults are the library's ---------------------------

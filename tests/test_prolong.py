@@ -13,7 +13,8 @@ from conftest import (
     skew_subspace,
     well_conditioned,
 )
-from prolongation.matspace import conjugate, distance, largest_principal_angle, make_subspace
+from prolongation.matspace import (conjugate, distance, largest_principal_angle, make_subspace,
+                                   row_complement)
 import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
     HomSolutionSpace,
@@ -105,7 +106,8 @@ def trace_free_subspace(n):
 
 def assert_complement_invariants(space):
     n, m, k = space.n, space.m, space.degree
-    perp, rows = space.perp, space.rows
+    rows = space.rows
+    perp = row_complement(rows) if space._perp is None else space._perp
     assert perp.shape[1] == rows.shape[1] == hom_dim(n, m, k)
     assert space.dim + perp.shape[0] == hom_dim(n, m, k)
     assert np.linalg.norm(perp @ perp.T - np.eye(perp.shape[0])) <= 1e-12
@@ -290,7 +292,7 @@ def test_spaces_do_not_pin_their_svd_factors(monkeypatch):
 def test_mk_direct_does_not_pin_its_svd_factor():
     space = mk_direct(complex_structure_plane(4, 4), 6)
     assert space.dim == 2
-    for array in (space.rows, space.perp):
+    for array in (space.rows, space._perp):
         assert array.base is None or array.base.nbytes <= array.nbytes
 
 
