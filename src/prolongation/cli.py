@@ -40,7 +40,11 @@ def _load_json(path: str) -> dict:
     """Parse a JSON input file, rejecting NaN, Infinity, overflowing numbers,
     true/false, null and strings, which no input field takes."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # a bare ValueError is the integer digit limit
+            reason = "an integer too long to read" if type(exc) is ValueError else exc
+            raise ValueError(f"{reason} in {path}; fields are finite numbers") from None
     stack = [(None, data)]  # (field name, value); list items keep their field's name
     while stack:
         key, value = stack.pop()

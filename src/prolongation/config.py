@@ -31,7 +31,6 @@ class Tolerances:
 
     # derivative and manifold checks
     fd_step: float = 1e-5             # central finite-difference step for Jacobians
-    manifold_fd_step: float = 1e-6    # step for constraint-set tangent extraction
     on_manifold: float = 1e-9         # residual bound for points on a constraint set
     jet_consistency: float = 1e-8     # least-squares residual bound for jet systems
 

@@ -40,7 +40,7 @@ class ConstraintFamily:
 
     Both functions read the matrix alone.  ``jacobian_fn(A)`` may supply
     the derivative of ``defining`` as a (residual_dim, m*n) matrix; otherwise
-    central finite differences with ``manifold_fd_step`` are used.
+    central finite differences with ``fd_step`` are used.
     ``manifold_dim`` is the expected tangent dimension, flagging degeneracy.
     """
 
@@ -189,7 +189,7 @@ def tangent_space(family: ConstraintFamily, A) -> MatrixSubspace:
         J = np.asarray(family.jacobian_fn(A))
     else:
         J = fd_jacobian(lambda a: family.defining(a.reshape(A.shape)), A.ravel(),
-                        TOLERANCES.manifold_fd_step)
+                        TOLERANCES.fd_step)
     rows = nullspace_rows(J)
     if rows.shape[0] != family.manifold_dim:
         raise DegeneratePointError(

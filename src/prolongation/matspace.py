@@ -19,21 +19,6 @@ def rank_from_singular_values(s: np.ndarray) -> int:
     return int(np.sum(s > TOLERANCES.rank_rel * max(1.0, float(s[0]))))
 
 
-def row_space_and_kernel(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows spanning the row space of A and {x : A x = 0}, from
-    one SVD; shapes (rank, A.shape[1]) and (A.shape[1] - rank, A.shape[1]).
-    The two stacks are orthogonal complements of each other."""
-    A = np.asarray(A, dtype=float)
-    rows, cols = A.shape
-    if rows == 0:
-        return np.zeros((0, cols)), np.eye(cols)
-    # vh is cols x cols either way: only a wide A needs the full factors,
-    # and a tall one skips its rows x rows left factor
-    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
-    rank = rank_from_singular_values(s)
-    return vh[:rank], vh[rank:]
-
-
 def row_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the row space of A, shape (rank, A.shape[1]),
     from one thin SVD.  The rows are copied out of the factor, so they do
@@ -47,7 +32,14 @@ def row_space(A: np.ndarray) -> np.ndarray:
 
 def nullspace_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {x : A x = 0}; shape (dim_null, A.shape[1])."""
-    return row_space_and_kernel(A)[1]
+    A = np.asarray(A, dtype=float)
+    rows, cols = A.shape
+    if rows == 0:
+        return np.eye(cols)
+    # vh is cols x cols either way: only a wide A needs the full factors,
+    # and a tall one skips its rows x rows left factor
+    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
+    return vh[rank_from_singular_values(s):]
 
 
 def row_complement(B: np.ndarray) -> np.ndarray:
@@ -101,9 +93,6 @@ class MatrixSubspace:
         if c.shape != (self.dim,):
             raise ValueError("coefficient vector has wrong length")
         return np.tensordot(c, self.basis, axes=1)
-
-    def coefficients(self, A) -> np.ndarray:
-        return self.flat @ np.asarray(A, dtype=float).ravel()
 
 
 def _gram_schmidt(vectors, drop_tol):

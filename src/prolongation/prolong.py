@@ -20,9 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .matspace import MatrixSubspace, distances, row_complement, row_space, row_space_and_kernel
+from .matspace import MatrixSubspace, distances, nullspace_rows, row_complement, row_space
 from .symtensor import (HomPoly, derivative_coords, derivative_op, polymap_to_json, PolyMap,
-                        slot_table)
+                        slot_matrices)
 from math import comb
 
 
@@ -182,7 +182,7 @@ def delta_step(V: MatrixSubspace, prev: HomSolutionSpace) -> HomSolutionSpace:
         band = system[block * below:(block + 1) * below]
         band[:, i * dim:(i + 1) * dim] = partials[j]
         band[:, j * dim:(j + 1) * dim] = -partials[i]
-    _, kernel = row_space_and_kernel(system)
+    kernel = nullspace_rows(system)
     q = (kernel.reshape(len(kernel), n, dim) @ prev.rows).reshape(len(kernel), n, m, above)
     monomials = comb(n + k - 1, k)
     lifted = np.zeros((len(kernel), m, monomials))
@@ -253,5 +253,4 @@ def membership_residual(p: HomPoly, V: MatrixSubspace) -> float:
     """Largest slot-matrix distance from V over all degree-(k-1) slot fills."""
     if p.k == 0:
         return 0.0
-    index, weight = slot_table(p.n, p.k)
-    return float(np.max(distances((p.coeffs[:, index] * weight).transpose(1, 0, 2), V)))
+    return float(np.max(distances(slot_matrices(p), V)))

@@ -147,28 +147,19 @@ def contract(p: HomPoly, x) -> HomPoly:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError("vector has wrong dimension")
-    acc = np.zeros((p.m, comb(p.n + p.k - 2, p.k - 1)))
-    for i in range(p.n):
-        if x[i] != 0.0:
-            acc += x[i] * derive(p, i).coeffs
-    return HomPoly(p.n, p.m, p.k - 1, acc / p.k)
+    return HomPoly(p.n, p.m, p.k - 1, derivative_coords(p.coeffs, p.n, p.m, p.k)[0] @ x / p.k)
 
 
-@lru_cache(maxsize=None)
-def slot_table(n: int, k: int) -> tuple:
-    """Where the slot matrices of a degree-k map read its coefficients.
-
-    Two arrays of shape (C(n+k-2, k-1), n): for the b-th degree-(k-1)
-    multi-index beta and slot j, ``index[b, j]`` is the position of
-    gamma = beta + e_j in ``monomial_basis(n, k)``, read from
-    :func:`derivative_op`, and ``weight[b, j]`` is gamma!/k!, so column j of
-    slot matrix b is ``coeffs[:, index[b, j]]`` times ``weight[b, j]``.
-    """
-    index = derivative_op(n, k)[0]
-    weight = np.array([prod(map(factorial, g)) / factorial(k) for g in monomial_basis(n, k)])
-    weight = weight[index]
-    weight.setflags(write=False)
-    return index, weight
+def slot_matrices(p: HomPoly) -> np.ndarray:
+    """Every slot matrix of ``p``, shape (C(n+k-2, k-1), m, n), in the order of
+    ``monomial_basis(n, k-1)``: as gamma!/k! = ``exponent[b, j]`` * beta!/k!
+    for gamma = beta + e_j, matrix b is beta!/k! times p's Jacobian on the b-th
+    degree-(k-1) monomial, block ``[:, b, :]`` of :func:`derivative_coords`."""
+    if p.k < 1:
+        raise ValueError("a degree-0 map has no slot matrices")
+    scale = [prod(map(factorial, beta)) / factorial(p.k) for beta in monomial_basis(p.n, p.k - 1)]
+    partials = derivative_coords(p.coeffs, p.n, p.m, p.k)[0].transpose(1, 0, 2)
+    return partials * np.array(scale)[:, None, None]
 
 
 def slot_matrix(p: HomPoly, beta) -> np.ndarray:
@@ -183,9 +174,7 @@ def slot_matrix(p: HomPoly, beta) -> np.ndarray:
     beta = tuple(int(b) for b in beta)
     if p.k < 1 or len(beta) != p.n or sum(beta) != p.k - 1:
         raise ValueError("slot multi-index must have degree k-1")
-    index, weight = slot_table(p.n, p.k)
-    b = monomial_index(p.n, p.k - 1)[beta]
-    return p.coeffs[:, index[b]] * weight[b]
+    return slot_matrices(p)[monomial_index(p.n, p.k - 1)[beta]]
 
 
 @dataclass
@@ -200,20 +189,6 @@ class PolyMap:
         for k, p in self.components.items():
             if p.n != self.n or p.m != self.m or p.k != k:
                 raise ValueError("component dimensions disagree with the map")
-
-    @classmethod
-    def from_homs(cls, homs):
-        homs = list(homs)
-        if not homs:
-            raise ValueError("need at least one homogeneous component")
-        n, m = homs[0].n, homs[0].m
-        comps = {}
-        for p in homs:
-            if p.k in comps:
-                comps[p.k] = HomPoly(n, m, p.k, comps[p.k].coeffs + p.coeffs)
-            else:
-                comps[p.k] = p
-        return cls(n, m, comps)
 
     def degree_component(self, k: int) -> HomPoly:
         return self.components.get(k, HomPoly.zero(self.n, self.m, k))

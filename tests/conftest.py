@@ -42,7 +42,7 @@ def random_hompoly(rng, n, m, k):
 
 
 def random_polymap(rng, n, m, max_degree):
-    return PolyMap.from_homs(random_hompoly(rng, n, m, k) for k in range(max_degree + 1))
+    return PolyMap(n, m, {k: random_hompoly(rng, n, m, k) for k in range(max_degree + 1)})
 
 
 def holomorphic_power(k):

@@ -186,7 +186,7 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
         "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
         "certificate", "certificate_distance",
-        "fd_step", "manifold_fd_step", "on_manifold", "jet_consistency",
+        "fd_step", "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
 
 
@@ -459,6 +459,16 @@ def test_non_finite_json_numbers_are_exit_one(tmp_path, capsys, kind, literal):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "invalid input" in err and f"{where[kind]} of {paths[kind]}" in err
+
+
+def test_an_integer_past_the_digit_limit_is_exit_one(tmp_path, capsys):
+    # json.load's own error points at sys.set_int_max_str_digits, not the file
+    path = tmp_path / "space.json"
+    path.write_text('{"n": 2, "m": 2, "generators": [[[1.0, 0.0], [0.0, ' + "1" * 5001 + "]]]}")
+    assert main(["chain", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and str(path) in err and "fields are finite numbers" in err
+    assert "set_int_max_str_digits" not in err
 
 
 # --- no input field is a boolean, null or a string ----------------------------

@@ -18,8 +18,8 @@ from prolongation.symtensor import (
     monomial_index,
     polymap_from_json,
     polymap_to_json,
+    slot_matrices,
     slot_matrix,
-    slot_table,
 )
 
 
@@ -156,14 +156,15 @@ def test_slot_matrix_matches_iterated_contraction(rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_slot_table_holds_positions_and_weights(rng, n, k):
-    index, weight = slot_table(n, k)
+    # the slot rule reads the derivative table: positions index[b, j] at the
+    # weights gamma!/k! = exponent[b, j] * beta!/k!
+    index, exponent = derivative_op(n, k)
     lower = monomial_basis(n, k - 1)
-    assert index.shape == weight.shape == (comb(n + k - 2, k - 1), n)
+    assert index.shape == exponent.shape == (comb(n + k - 2, k - 1), n)
+    assert not index.flags.writeable and not exponent.flags.writeable
     p = random_hompoly(rng, n, 2, k)
     # the derivative table against the dense matrices of d/dx_j it replaces,
     # built from the exponent rule d_j x^gamma = gamma_j x^(gamma - e_j)
-    table_index, exponent = derivative_op(n, k)
-    assert table_index is index and not index.flags.writeable and not exponent.flags.writeable
     dense = np.zeros((n, len(lower), comb(n + k - 1, k)))
     for c, gamma in enumerate(monomial_basis(n, k)):
         for j in range(n):
@@ -180,11 +181,14 @@ def test_slot_table_holds_positions_and_weights(rng, n, k):
     for j in (-1, n):
         with pytest.raises(ValueError):
             derive(p, j)
+    slots = slot_matrices(p)
+    assert slots.shape == (len(lower), 2, n)
     for b, beta in enumerate(lower):
         for j in range(n):
             gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
             assert index[b, j] == monomial_index(n, k)[gamma]
-            assert weight[b, j] == prod(factorial(g) for g in gamma) / factorial(k)
+            assert exponent[b, j] * prod(map(factorial, beta)) == prod(map(factorial, gamma))
+        assert np.array_equal(slots[b], slot_matrix(p, beta))
         # the slot matrix is (1/k!) d^beta d_j p, taken here by repeated derivation
         expected = np.zeros((2, n))
         for j in range(n):
@@ -193,7 +197,7 @@ def test_slot_table_holds_positions_and_weights(rng, n, k):
                 for _ in range(count):
                     q = derive(q, i)
             expected[:, j] = q.coeffs[:, 0] / factorial(k)
-        assert np.allclose(slot_matrix(p, beta), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(slots[b], expected, rtol=1e-13, atol=0.0)
 
 
 def test_jacobian_of_linear_map_is_its_matrix(rng):
