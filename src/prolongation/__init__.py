@@ -21,7 +21,6 @@ from .matspace import (
     distance,
     largest_principal_angle,
     make_subspace,
-    max_principal_angle,
     project,
     subspace_from_json,
     subspace_to_json,
@@ -41,7 +40,6 @@ from .obstruct import (
     ComplexPairWitness,
     InternalInconsistencyError,
     RankOneWitness,
-    classify_delta,
     classify_delta_full,
     complex_structure_plane,
     find_complex_pair,

@@ -144,7 +144,7 @@ def _cmd_polysolve(args) -> dict:
             "solution_basis": None,
             "note": "chain did not terminate within k_max; no finite basis",
         }
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     return {
         "delta": report.delta.to_json(),
         "alpha": list(report.alpha),

@@ -11,17 +11,15 @@ from dataclasses import dataclass, asdict
 class Tolerances:
     """Thresholds for rank decisions, certificates and sampling checks.
 
-    All rank/nullspace decisions use singular values against
-    ``rank_rel * max(1, sigma_1)``; the remaining knobs gate individual
-    certificates, input rejections and consistency checks.
+    Every numerical-dependence decision (a rank, a nullspace, a dependent
+    generator, a singular conjugating matrix) compares against ``rank_rel``;
+    the remaining knobs gate individual certificates, input rejections and
+    consistency checks.
     """
 
     # linear algebra substrate
-    rank_rel: float = 1e-9            # SVD rank / nullspace threshold (relative)
-    gram_schmidt_drop: float = 1e-10  # generator dropped below this residual fraction
+    rank_rel: float = 1e-9            # numerical dependence: rank, generators, conjugation
     orthonormality: float = 1e-10     # unit-norm slack of a rank-one witness
-    subspace_angle: float = 1e-8      # max principal angle for subspace equality
-    singular_rel: float = 1e-12       # sigma_min/sigma_max rejecting a conjugating matrix
 
     # obstruction certificates
     certificate: float = 1e-7         # rank-one sigma_2/sigma_1 gate; complex-pair conditions

@@ -25,7 +25,7 @@ from .symtensor import (
     PolyMap,
     derivative_coords,
     fd_jacobian,
-    json_dimensions,
+    json_fields,
     polymap_to_json,
 )
 
@@ -62,7 +62,7 @@ def _symmetric_basis(n: int, trace_free: bool) -> list:
     if trace_free:
         # orthonormalize the diagonal directions against the identity
         eye = np.eye(n).ravel() / np.sqrt(n)
-        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag], TOLERANCES.gram_schmidt_drop)
+        vecs = _gram_schmidt([eye] + [d.ravel() for d in diag])
         out.extend(v.reshape(n, n) for v in vecs[1:])
     else:
         out.extend(diag)
@@ -144,8 +144,8 @@ def _gram_family(name: str, n: int, target, trace_free: bool, manifold_dim: int,
     )
 
 
-def builtin_family(name: str, n: int, subspace: MatrixSubspace | None = None) -> ConstraintFamily:
-    """Named constraint families; ``custom-linear`` wraps a given subspace.
+def builtin_family(name: str, n: int) -> ConstraintFamily:
+    """Named constraint families; :func:`linear_family` wraps any subspace.
 
     isometry: A A^T = I on every symmetric direction.  conformal: A A^T
     proportional to the identity, that is A A^T read on the trace-free
@@ -171,10 +171,6 @@ def builtin_family(name: str, n: int, subspace: MatrixSubspace | None = None) ->
         if n != 2:
             raise ValueError("the holomorphic family lives in dimension 2")
         return linear_family(complex_structure_plane(2, 2), name)
-    if name == "custom-linear":
-        if subspace is None:
-            raise ValueError("custom-linear needs an explicit subspace")
-        return linear_family(subspace, name)
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -297,7 +293,7 @@ def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
         if mat.shape != (m, n) or vec.shape != (m,):
             raise ValueError("generator pair has wrong shapes")
         vecs.append(np.concatenate([mat.ravel(), vec]))
-    return AugmentedSubspace(n, m, np.array(_gram_schmidt(vecs, TOLERANCES.gram_schmidt_drop)))
+    return AugmentedSubspace(n, m, np.array(_gram_schmidt(vecs)))
 
 
 def augment_with_full_range(V: MatrixSubspace) -> AugmentedSubspace:
@@ -410,6 +406,6 @@ def augmented_to_json(v_aug: AugmentedSubspace) -> dict:
 
 
 def augmented_from_json(data: dict) -> AugmentedSubspace:
-    n, m = json_dimensions(data)
-    pairs = [(g["matrix"], g["vector"]) for g in data.get("generators", [])]
+    n, m, generators = json_fields(data, "generators")
+    pairs = [(g["matrix"], g["vector"]) for g in generators]
     return make_augmented(n, m, pairs)

@@ -1,8 +1,11 @@
 """Subspaces of L(R^n, R^m) under the Frobenius inner product.
 
 Construction, projection, distances, conjugation by invertible matrices and
-rank decisions.  Every rank/nullspace decision in the package funnels through
-:func:`rank_from_singular_values` so the threshold lives in one place.
+rank decisions.  Every numerical-dependence decision compares against the one
+threshold ``rank_rel``: each rank and nullspace in the package funnels through
+:func:`rank_from_singular_values`, a generator counts as dependent unless its
+residual exceeds ``rank_rel`` times its norm, and :func:`conjugate` rejects a
+matrix whose sigma_min/sigma_max is at most ``rank_rel``.
 """
 
 from dataclasses import dataclass
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .symtensor import json_dimensions
+from .symtensor import json_fields
 
 
 def rank_from_singular_values(s: np.ndarray) -> int:
@@ -95,7 +98,7 @@ class MatrixSubspace:
         return np.tensordot(c, self.basis, axes=1)
 
 
-def _gram_schmidt(vectors, drop_tol):
+def _gram_schmidt(vectors):
     basis = []
     for i, v in enumerate(vectors):
         v = np.asarray(v, dtype=float).ravel().copy()
@@ -109,9 +112,8 @@ def _gram_schmidt(vectors, drop_tol):
             for b in basis:
                 v -= (v @ b) * b
         norm = np.linalg.norm(v)
-        if norm < drop_tol * orig:
-            continue
-        basis.append(v / norm)
+        if norm > TOLERANCES.rank_rel * orig:  # the rank rule's comparison
+            basis.append(v / norm)
     return basis
 
 
@@ -121,7 +123,7 @@ def make_subspace(n: int, m: int, generators) -> MatrixSubspace:
     for g in gens:
         if g.shape != (m, n):
             raise ValueError(f"generator has shape {g.shape}, expected {(m, n)}")
-    return MatrixSubspace(n, m, np.array(_gram_schmidt(gens, TOLERANCES.gram_schmidt_drop)))
+    return MatrixSubspace(n, m, np.array(_gram_schmidt(gens)))
 
 
 def project(A, V: MatrixSubspace) -> np.ndarray:
@@ -161,23 +163,17 @@ def conjugate(V: MatrixSubspace, P, Q) -> MatrixSubspace:
         raise ValueError("conjugating matrices have wrong shapes")
     for M in (P, Q):
         s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= TOLERANCES.singular_rel * s[0]:
+        if s[-1] <= TOLERANCES.rank_rel * s[0]:
             raise ValueError("conjugating matrix is singular or near-singular")
     return make_subspace(V.n, V.m, [P @ B @ Q for B in V.basis])
 
 
-def max_principal_angle(V1: MatrixSubspace, V2: MatrixSubspace) -> float:
-    return largest_principal_angle(V1.flat, V2.flat)
-
-
-def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace,
-                    angle_tol: float | None = None) -> bool:
-    """Equality up to the principal-angle tolerance (basis independent)."""
-    if angle_tol is None:
-        angle_tol = TOLERANCES.subspace_angle
+def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace, angle_tol: float) -> bool:
+    """Equality up to a largest principal angle of ``angle_tol`` (basis
+    independent)."""
     if (V1.n, V1.m) != (V2.n, V2.m) or V1.dim != V2.dim:
         return False
-    return max_principal_angle(V1, V2) <= angle_tol
+    return largest_principal_angle(V1.flat, V2.flat) <= angle_tol
 
 
 # --- JSON form shared with the CLI ---------------------------------------
@@ -193,6 +189,5 @@ def subspace_to_json(V: MatrixSubspace) -> dict:
 
 
 def subspace_from_json(data: dict) -> MatrixSubspace:
-    n, m = json_dimensions(data)
-    gens = [np.asarray(g, dtype=float) for g in data.get("generators", [])]
-    return make_subspace(n, m, gens)
+    n, m, generators = json_fields(data, "generators")
+    return make_subspace(n, m, [np.asarray(g, dtype=float) for g in generators])

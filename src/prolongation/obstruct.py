@@ -373,10 +373,3 @@ def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
         delta = report.delta
     return ClassifyOutcome(delta=delta, chain_report=report,
                            rank_one=rank_one, complex_pair=complex_pair)
-
-
-def classify_delta(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
-                   restarts: int = 64,
-                   report: ChainReport | None = None) -> DeltaStatus:
-    """Classify the chain length of V; see :func:`classify_delta_full`."""
-    return classify_delta_full(V, k_max, seed, restarts, report).delta

@@ -43,7 +43,7 @@ class PolyBasis:
         }
 
 
-def solution_basis(V: MatrixSubspace, report: ChainReport) -> PolyBasis:
+def solution_basis(report: ChainReport) -> PolyBasis:
     """Concatenate the homogeneous bases of a finite chain into one basis."""
     if report.delta.status != "finite":
         raise ValueError("a solution basis requires a finite chain")

@@ -220,7 +220,8 @@ def jacobian(F, x) -> np.ndarray:
         if p.k == 0:
             continue
         monomials = np.prod(points[:, None, :] ** exponent_array(p.n, p.k - 1), axis=2)
-        partials = np.stack([derive(p, j).coeffs for j in range(p.n)])
+        # a C-ordered copy: the products below then round as on a stack of derive(p, j)
+        partials = np.moveaxis(derivative_coords(p.coeffs, p.n, p.m, p.k)[0], -1, 0).copy()
         out += (partials[:, None] @ monomials[:, :, None])[..., 0]
     return np.moveaxis(out, 0, -1).reshape(x.shape[:-1] + (F.m, F.n))
 
@@ -255,9 +256,17 @@ def _json_integer(value, key: str, minimum: int) -> int:
     return int(value)
 
 
-def json_dimensions(data: dict) -> tuple[int, int]:
-    """The ``n`` and ``m`` fields of an input file, each an integer >= 1."""
-    return _json_integer(data["n"], "n", 1), _json_integer(data["m"], "m", 1)
+def json_fields(data: dict, key: str) -> tuple[int, int, list]:
+    """The ``n`` and ``m`` fields of an input file, each an integer >= 1, and its
+    list field ``key``; a missing field or a top level not an object is an error."""
+    if not isinstance(data, dict):
+        raise ValueError(f"the top level must be an object, got {type(data).__name__}")
+    for name in ("n", "m", key):
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+    if not isinstance(data[key], list):
+        raise ValueError(f"field {key!r} must be a list")
+    return _json_integer(data["n"], "n", 1), _json_integer(data["m"], "m", 1), data[key]
 
 
 def polymap_to_json(F: PolyMap) -> dict:
@@ -272,9 +281,9 @@ def polymap_to_json(F: PolyMap) -> dict:
 
 
 def polymap_from_json(data: dict) -> PolyMap:
-    n, m = json_dimensions(data)
+    n, m, terms = json_fields(data, "terms")
     comps = {}
-    for term in data["terms"]:
+    for term in terms:
         k = _json_integer(term["degree"], "degree", 0)
         a = _json_integer(term["output"], "output", 1) - 1
         beta = tuple(_json_integer(e, "exponents", 0) for e in term["exponents"])

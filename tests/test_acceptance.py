@@ -79,7 +79,7 @@ def test_criterion_03_quaternion_rigidity():
     report = chain(V, 8)
     ok = report.alpha == [4, 4, 0]
     ok &= report.delta.status == "finite" and report.delta.value == 1
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     ok &= all(F.max_degree() <= 1 for F in basis.elements)
     linear = make_subspace(4, 4, [
         F.components[1].coeffs for F, d in zip(basis.elements, basis.degrees) if d == 1
@@ -164,7 +164,7 @@ def test_criterion_07_gradient_check():
 
 def test_criterion_08_solution_verification():
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     ok = True
     for F in basis.elements:
         report = verify_membership(F, V, samples=100, radius=1.0, tol=1e-9, seed=31)

@@ -184,7 +184,7 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     out = tmp_path / "detect.json"
     assert main(["detect", "--input", str(w_pad), "--restarts", "2", "--out", str(out)]) == 0
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
-        "rank_rel", "gram_schmidt_drop", "orthonormality", "subspace_angle", "singular_rel",
+        "rank_rel", "orthonormality",
         "certificate", "certificate_distance",
         "fd_step", "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
@@ -645,3 +645,87 @@ def test_truncating_term_fields_are_exit_one(tmp_path, capsys):
 
 def test_integral_float_term_fields_are_accepted(tmp_path):
     assert verify_one_term(tmp_path, {"degree": 2.0, "output": 1.0, "exponents": [2.0, 0]}) == 0
+
+
+# --- every field of an input file is required --------------------------------
+
+def write_inputs(tmp_path, replace=None):
+    """A valid 2 x 2 subspace, polynomial, augmented subspace and matrix file,
+    with ``replace`` mapping a file kind to the document written instead."""
+    files = {
+        "subspace": {"n": 2, "m": 2, "generators": [np.eye(2).tolist()]},
+        "polynomial": {"n": 2, "m": 2, "terms": [
+            {"degree": 1, "output": 1, "exponents": [1, 0], "value": 1.0}]},
+        "augmented": {"n": 2, "m": 2,
+                      "generators": [{"matrix": np.eye(2).tolist(), "vector": [0.0, 0.0]}]},
+        "matrix": np.eye(2).tolist(),
+        **(replace or {}),
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    return {
+        "chain": ["chain", "--input", str(paths["subspace"])],
+        "classify": ["classify", "--input", str(paths["subspace"]), "--kmax", "3"],
+        "verify": ["verify", "--input", str(paths["subspace"]),
+                   "--poly", str(paths["polynomial"]), "--samples", "3"],
+        "jet": ["jet", "--input-augmented", str(paths["augmented"]),
+                "--matrix", str(paths["matrix"]), "--degree", "2"],
+    }
+
+
+@pytest.mark.parametrize("subcommand, kind, field", [
+    ("chain", "subspace", "generators"), ("chain", "subspace", "n"),
+    ("classify", "subspace", "generators"), ("classify", "subspace", "m"),
+    ("verify", "subspace", "generators"), ("verify", "polynomial", "terms"),
+    ("verify", "polynomial", "n"), ("jet", "augmented", "generators"),
+    ("jet", "augmented", "m")])
+def test_a_missing_field_is_exit_one(tmp_path, capsys, subcommand, kind, field):
+    """A misspelled "generators" used to read as the zero subspace, so that
+    classify reported a finite delta of 0 and jet an empty space, with exit 0."""
+    valid = {"subspace": {"n": 2, "m": 2, "generators": [np.eye(2).tolist()]},
+             "polynomial": {"n": 2, "m": 2, "terms": []},
+             "augmented": {"n": 2, "m": 2, "generators": []}}[kind]
+    data = dict(valid)
+    value = data.pop(field)
+    if field in ("generators", "terms"):
+        data[field[:-1]] = value
+    out = tmp_path / "report.json"
+    assert main(write_inputs(tmp_path, {kind: data})[subcommand] + ["--out", str(out)]) == 1
+    assert f"invalid input: missing field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, kind", [
+    ("chain", "subspace"), ("classify", "subspace"), ("verify", "subspace"),
+    ("verify", "polynomial"), ("jet", "augmented")])
+def test_a_top_level_that_is_not_an_object_is_exit_one(tmp_path, capsys, subcommand, kind):
+    assert main(write_inputs(tmp_path, {kind: [[1.0, 0.0], [0.0, 1.0]]})[subcommand]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input: the top level must be an object, got list" in err
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("subspace", "generators"), ("polynomial", "terms"), ("augmented", "generators")])
+def test_a_list_field_that_is_an_object_is_exit_one(tmp_path, capsys, kind, field):
+    # an empty object would otherwise read as an empty list
+    argv = write_inputs(tmp_path, {kind: {"n": 2, "m": 2, field: {}}})
+    assert main(argv["verify" if kind != "augmented" else "jet"]) == 1
+    assert f"field '{field}' must be a list" in capsys.readouterr().err
+
+
+def test_explicitly_empty_lists_stay_valid(tmp_path):
+    argv = write_inputs(tmp_path, {
+        "subspace": {"n": 2, "m": 2, "generators": []},
+        "polynomial": {"n": 2, "m": 2, "terms": []},
+        "augmented": {"n": 2, "m": 2, "generators": []}})
+    results = {}
+    for subcommand, args in argv.items():
+        out = tmp_path / f"{subcommand}.json"
+        assert main(args + ["--out", str(out)]) == 0
+        results[subcommand] = read_result(out)
+    assert results["chain"]["alpha"] == [2, 0]
+    assert results["classify"]["delta"] == {"status": "finite", "value": 0}
+    assert results["verify"]["pass"] is True
+    assert results["jet"]["empty"] is True

@@ -10,7 +10,6 @@ from prolongation.matspace import (
     distances,
     largest_principal_angle,
     make_subspace,
-    max_principal_angle,
     nullspace_rows,
     project,
     rank_from_singular_values,
@@ -27,6 +26,12 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def test_make_subspace_drops_dependent_generators():
     assert make_subspace(2, 2, [I2, 2 * I2]).dim == 1
+
+
+@pytest.mark.parametrize("offset, dim", [(5e-10, 1), (2e-9, 2)])
+def test_a_generator_counts_as_dependent_by_the_rank_threshold(offset, dim):
+    # the second generator's residual is `offset` times its norm, against rank_rel = 1e-9
+    assert make_subspace(2, 2, [I2, I2 + offset * J2]).dim == dim
 
 
 def test_make_subspace_skew_three():
@@ -131,6 +136,20 @@ def test_conjugate_rejects_singular():
         conjugate(V, np.eye(3), singular)
 
 
+@pytest.mark.parametrize("small, accepted", [(1e-10, False), (1e-8, True)])
+def test_conjugate_rejects_by_the_rank_threshold(small, accepted):
+    # sigma_min/sigma_max = small, against rank_rel = 1e-9
+    V = conformal_subspace(3)
+    P = np.diag([1.0, 1.0, small])
+    if accepted:
+        assert conjugate(V, P, np.eye(3)).dim == V.dim
+        assert conjugate(V, np.eye(3), P).dim == V.dim
+    else:
+        for args in ((P, np.eye(3)), (np.eye(3), P)):
+            with pytest.raises(ValueError, match="near-singular"):
+                conjugate(V, *args)
+
+
 def test_equality_is_an_equivalence_relation(rng):
     V = conformal_subspace(3)
     # same space with a rotated basis
@@ -141,23 +160,23 @@ def test_equality_is_an_equivalence_relation(rng):
     ])
     corpus = [V, V_rot, skew_subspace(3), random_subspace(rng, 3, 3, 4)]
     for A in corpus:
-        assert subspaces_equal(A, A)
+        assert subspaces_equal(A, A, 1e-8)
     for A in corpus:
         for B in corpus:
-            assert subspaces_equal(A, B) == subspaces_equal(B, A)
+            assert subspaces_equal(A, B, 1e-8) == subspaces_equal(B, A, 1e-8)
     for A in corpus:
         for B in corpus:
             for C in corpus:
-                if subspaces_equal(A, B) and subspaces_equal(B, C):
-                    assert subspaces_equal(A, C)
-    assert subspaces_equal(V, V_rot)
-    assert not subspaces_equal(V, skew_subspace(3))
+                if subspaces_equal(A, B, 1e-8) and subspaces_equal(B, C, 1e-8):
+                    assert subspaces_equal(A, C, 1e-8)
+    assert subspaces_equal(V, V_rot, 1e-8)
+    assert not subspaces_equal(V, skew_subspace(3), 1e-8)
 
 
 def test_max_principal_angle_orthogonal_spaces():
     VI = make_subspace(2, 2, [I2])
     VJ = make_subspace(2, 2, [J2])
-    assert abs(max_principal_angle(VI, VJ) - np.pi / 2) < 1e-12
+    assert abs(largest_principal_angle(VI.flat, VJ.flat) - np.pi / 2) < 1e-12
 
 
 def test_subspace_json_round_trip(rng):

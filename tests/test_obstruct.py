@@ -15,7 +15,6 @@ from prolongation.matspace import (
 from prolongation.obstruct import (
     ComplexPairWitness,
     RankOneWitness,
-    classify_delta,
     classify_delta_full,
     complex_structure_plane,
     find_complex_pair,
@@ -287,7 +286,7 @@ def test_certification_is_conjugation_equivariant(rng):
 
 
 def test_classify_conformal_is_finite():
-    status = classify_delta(conformal_subspace(3), k_max=4, seed=7, restarts=8)
+    status = classify_delta_full(conformal_subspace(3), k_max=4, seed=7, restarts=8).delta
     assert status.status == "finite" and status.value == 2
 
 
@@ -306,7 +305,7 @@ def test_classify_reference_plane_is_infinite():
 def test_classify_matches_direct_oracle_on_random_spaces(rng):
     for trial in range(4):
         V = random_subspace(rng, 3, 3, 2)
-        status = classify_delta(V, k_max=4, seed=10 + trial, restarts=8)
+        status = classify_delta_full(V, k_max=4, seed=10 + trial, restarts=8).delta
         assert status.status == "finite"
         dims = [mk_direct(V, k).dim for k in range(status.value + 2)]
         assert dims[status.value] > 0

@@ -31,7 +31,7 @@ def conformal_quadratic(axis, n=3):
 def test_solution_basis_conformal_three():
     V = conformal_subspace(3)
     report = chain(V, 8)
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     assert basis.dim == 10
     assert sorted(basis.degrees) == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
     # the linear span equals V, the quadratic span is the inversion family
@@ -54,7 +54,7 @@ def test_solution_basis_conformal_three():
 def test_solution_basis_quaternion_is_affine():
     V = quaternion_right_multiplications()
     report = chain(V, 8)
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     assert basis.dim == 8
     assert sorted(basis.degrees) == [0, 0, 0, 0, 1, 1, 1, 1]
 
@@ -62,7 +62,7 @@ def test_solution_basis_quaternion_is_affine():
 def test_solution_basis_of_zero_subspace():
     V = make_subspace(2, 3, [])
     report = chain(V, 4)
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     assert basis.dim == 3
     assert basis.degrees == [0, 0, 0]
 
@@ -71,27 +71,27 @@ def test_solution_basis_requires_finite_chain():
     V = make_subspace(2, 2, [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
     report = chain(V, 4)
     with pytest.raises(ValueError):
-        solution_basis(V, report)
+        solution_basis(report)
 
 
 def test_reduced_basis_dimensions():
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     red = reduced_basis(basis)
     assert red.dim == 6  # alpha_total minus the linear block
 
     Vq = quaternion_right_multiplications()
-    redq = reduced_basis(solution_basis(Vq, chain(Vq, 8)))
+    redq = reduced_basis(solution_basis(chain(Vq, 8)))
     assert redq.dim == 4
 
     V0 = make_subspace(2, 3, [])
-    red0 = reduced_basis(solution_basis(V0, chain(V0, 4)))
+    red0 = reduced_basis(solution_basis(chain(V0, 4)))
     assert red0.dim == 3
 
 
 def test_reduced_basis_has_exactly_zero_linear_part():
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     full = np.array([
         np.concatenate([F.degree_component(k).coeff_vector() for k in range(3)])
         for F in basis.elements
@@ -110,7 +110,7 @@ def test_reduced_basis_is_the_non_linear_part_of_the_graded_basis(n):
     rng = np.random.default_rng(n)
     P, Q = well_conditioned(rng, n), well_conditioned(rng, n)
     V = make_subspace(n, n, [P @ B @ Q for B in conformal_subspace(n).basis])
-    basis = solution_basis(V, chain(V, 6))
+    basis = solution_basis(chain(V, 6))
     kept = [i for i, d in enumerate(basis.degrees) if d != 1]
     red = reduced_basis(basis)
     assert red.degrees == [basis.degrees[i] for i in kept] == [0] * n + [2] * n
@@ -127,7 +127,7 @@ def test_reduced_basis_rejects_a_non_graded_basis():
 
 def test_verify_membership_conformal_elements():
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     for F in basis.elements:
         report = verify_membership(F, V, samples=100, radius=1.0, tol=1e-9, seed=3)
         assert report.passed, report.max_residual
@@ -187,7 +187,7 @@ def test_verify_membership_is_the_worst_per_point_distance(rng, V, seed):
 
 def test_verify_membership_accepts_callables(rng):
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     F = basis.elements[7]
     report = verify_membership(F.evaluate, V, samples=30, radius=1.0,
                                tol=1e-6, seed=6)
@@ -198,7 +198,7 @@ def test_grading_closure(rng):
     # degree components of arbitrary span combinations stay in their space
     V = conformal_subspace(3)
     report = chain(V, 8)
-    basis = solution_basis(V, report)
+    basis = solution_basis(report)
     combo = sum(
         (rng.standard_normal() * F.degree_component(d).coeffs
          for F, d in zip(basis.elements, basis.degrees) if d == 2),
@@ -212,7 +212,7 @@ def test_grading_closure(rng):
 
 def test_basis_jacobians_are_slot_evaluations(rng):
     V = conformal_subspace(3)
-    basis = solution_basis(V, chain(V, 8))
+    basis = solution_basis(chain(V, 8))
     quad = next(F for F, d in zip(basis.elements, basis.degrees) if d == 2)
     p = quad.components[2]
     for _ in range(100):

@@ -12,6 +12,7 @@ from prolongation.symtensor import (
     derivative_coords,
     derivative_op,
     derive,
+    exponent_array,
     hom_dim,
     jacobian,
     monomial_basis,
@@ -249,6 +250,28 @@ def test_jacobian_on_a_stack_equals_per_point_calls(rng, F):
         single = jacobian(F, x)
         assert single.shape == (F.m, F.n)
         assert np.linalg.norm(J - single) <= 1e-14 * max(1.0, np.linalg.norm(single))
+
+
+def _derive_stack_jacobian(p, x):
+    """The Jacobian of a HomPoly from a stack of per-coordinate ``derive``
+    coefficients, on the same monomials and products as ``jacobian``."""
+    points = np.asarray(x, dtype=float).reshape(-1, p.n)
+    out = np.zeros((p.n, len(points), p.m))
+    if p.k > 0:
+        monomials = np.prod(points[:, None, :] ** exponent_array(p.n, p.k - 1), axis=2)
+        partials = np.stack([derive(p, j).coeffs for j in range(p.n)])
+        out += (partials[:, None] @ monomials[:, :, None])[..., 0]
+    return np.moveaxis(out, 0, -1).reshape(np.shape(x)[:-1] + (p.m, p.n))
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_jacobian_equals_the_derive_stack_to_the_bit(rng, n, k):
+    p = random_hompoly(rng, n, 3, k)
+    for x in (rng.standard_normal(n), rng.standard_normal((6, n))):
+        J = jacobian(p, x)
+        assert J.shape == x.shape[:-1] + (3, n)
+        assert J.tolist() == _derive_stack_jacobian(p, x).tolist()
 
 
 @pytest.mark.parametrize("F", [random_polymap, lambda rng, n, m, _: random_hompoly(rng, n, m, 2),
