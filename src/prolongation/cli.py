@@ -95,16 +95,12 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _alpha_total_field(report) -> dict:
+def _cmd_chain(args) -> dict:
+    report = chain(subspace_from_json(_load_json(args.input)), args.k_max)
     body = report.to_json()
     if not report.alpha_total_exact:
         body["alpha_total_note"] = f">= {report.alpha_total}"
     return body
-
-
-def _cmd_chain(args) -> dict:
-    V = subspace_from_json(_load_json(args.input))
-    return _alpha_total_field(chain(V, args.k_max))
 
 
 def _cmd_detect(args) -> dict:

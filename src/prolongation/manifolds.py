@@ -25,6 +25,7 @@ from .symtensor import (
     PolyMap,
     derivative_coords,
     fd_jacobian,
+    json_entries,
     json_fields,
     polymap_to_json,
 )
@@ -277,12 +278,6 @@ class AugmentedSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def matrix_part(self, row: int) -> np.ndarray:
-        return self.basis[row, : self.m * self.n].reshape(self.m, self.n)
-
-    def vector_part(self, row: int) -> np.ndarray:
-        return self.basis[row, self.m * self.n:]
-
 
 def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
     """Augmented subspace spanned by (matrix, vector) generator pairs."""
@@ -392,20 +387,14 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
 # --- JSON forms -------------------------------------------------------------
 
 def augmented_to_json(v_aug: AugmentedSubspace) -> dict:
-    return {
-        "n": v_aug.n,
-        "m": v_aug.m,
-        "generators": [
-            {
-                "matrix": v_aug.matrix_part(r).tolist(),
-                "vector": v_aug.vector_part(r).tolist(),
-            }
-            for r in range(v_aug.dim)
-        ],
-    }
+    n, m = v_aug.n, v_aug.m
+    return {"n": n, "m": m, "generators": [
+        {"matrix": row[:m * n].reshape(m, n).tolist(), "vector": row[m * n:].tolist()}
+        for row in v_aug.basis]}
 
 
 def augmented_from_json(data: dict) -> AugmentedSubspace:
     n, m, generators = json_fields(data, "generators")
-    pairs = [(g["matrix"], g["vector"]) for g in generators]
+    pairs = [(g["matrix"], g["vector"])
+             for g in json_entries(generators, "generators", ("matrix", "vector"))]
     return make_augmented(n, m, pairs)

@@ -88,20 +88,23 @@ class DeltaStatus:
 
 @dataclass
 class ChainReport:
-    """Computed chain with its invariants.
-
-    ``alpha_total`` is exact when delta is finite and a partial sum
-    (lower bound) otherwise.
-    """
+    """Computed chain with its invariants."""
 
     n: int
     m: int
     dim_v: int
     alpha: list
-    alpha_total: int
-    alpha_total_exact: bool
     delta: DeltaStatus
     spaces: list = field(repr=False)
+
+    @property
+    def alpha_total(self) -> int:
+        """The sum of ``alpha``: exact when delta is finite, a lower bound otherwise."""
+        return int(sum(self.alpha))
+
+    @property
+    def alpha_total_exact(self) -> bool:
+        return self.delta.status == "finite"
 
     def to_json(self) -> dict:
         return {
@@ -109,7 +112,7 @@ class ChainReport:
             "m": self.m,
             "dim_v": self.dim_v,
             "alpha": list(self.alpha),
-            "alpha_total": int(self.alpha_total),
+            "alpha_total": self.alpha_total,
             "alpha_total_exact": self.alpha_total_exact,
             "delta": self.delta.to_json(),
             "bases": [
@@ -226,7 +229,7 @@ def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:
         raise ValueError("k_max must be >= 1")
     spaces = [constants_space(V.n, V.m)]
     alpha = [V.m]
-    delta = None
+    delta = DeltaStatus.lower_bound(k_max)
     for k in range(1, k_max + 1):
         nxt = mk_step(V, spaces[-1])
         spaces.append(nxt)
@@ -234,19 +237,7 @@ def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:
         if nxt.dim == 0:
             delta = DeltaStatus.finite(k - 1)
             break
-    exact = delta is not None
-    if delta is None:
-        delta = DeltaStatus.lower_bound(k_max)
-    return ChainReport(
-        n=V.n,
-        m=V.m,
-        dim_v=V.dim,
-        alpha=alpha,
-        alpha_total=int(sum(alpha)),
-        alpha_total_exact=exact,
-        delta=delta,
-        spaces=spaces,
-    )
+    return ChainReport(V.n, V.m, V.dim, alpha, delta, spaces)
 
 
 def membership_residual(p: HomPoly, V: MatrixSubspace) -> float:

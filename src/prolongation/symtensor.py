@@ -12,44 +12,41 @@ All operations are pure functions of immutable inputs.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, prod
 
 import numpy as np
 
 
 @lru_cache(maxsize=None)
-def monomial_basis(n: int, k: int) -> tuple:
-    """All exponent multi-indices of total degree ``k`` in ``n`` variables.
-
-    Canonical order: within a degree, lexicographically greater first
-    exponent tuple comes first, so for n=2, k=2 the order is
-    (2,0), (1,1), (0,2).  Length is C(n+k-1, k).
-    """
+def monomial_basis(n: int, k: int) -> np.ndarray:
+    """The monomial table: every exponent row of degree ``k`` in ``n`` variables,
+    a read-only int64 array of shape (C(n+k-1, k), n), lexicographically
+    greater rows first: (2,0), (1,1), (0,2) for n=2, k=2.  Each row places
+    n-1 bars among n+k-1 slots; reverse lex order of the bars gives that order."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     if k < 0:
         raise ValueError("degree must be >= 0")
-    if n == 1:
-        return ((k,),)
-    out = []
-    for first in range(k, -1, -1):
-        for rest in monomial_basis(n - 1, k - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    bars = np.array(list(combinations(range(n + k - 1), n - 1)), dtype=np.int64)
+    basis = np.diff(bars, axis=1, prepend=-1, append=n + k - 1)[::-1] - 1
+    basis.setflags(write=False)
+    return basis
 
 
-@lru_cache(maxsize=None)
-def monomial_index(n: int, k: int) -> dict:
-    """Lookup table multi-index -> position in ``monomial_basis(n, k)``."""
-    return {beta: i for i, beta in enumerate(monomial_basis(n, k))}
-
-
-@lru_cache(maxsize=None)
-def exponent_array(n: int, k: int) -> np.ndarray:
-    """Monomial exponents as an integer array of shape (C(n+k-1,k), n)."""
-    arr = np.array(monomial_basis(n, k), dtype=np.int64).reshape(-1, n)
-    arr.setflags(write=False)
-    return arr
+def monomial_position(exponents) -> np.ndarray:
+    """Positions of an (..., n) array of exponent rows beta, each in the table
+    of its own degree: the sum over b = 1, ..., n-1 of C(r_b + b - 1, b), the
+    monomials of that degree with more than r_b in their last b variables."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    n = exponents.shape[-1]
+    tail = np.cumsum(exponents[..., :0:-1], axis=-1)  # tail[..., b - 1] is r_b
+    count = np.ones_like(tail)
+    position = np.zeros(tail.shape[:-1], dtype=np.int64)
+    for b in range(1, n):
+        count = count * (tail + (b - 1)) // b  # C(r + b - 1, b) at every r, exactly
+        position += count[..., b - 1]
+    return position
 
 
 def hom_dim(n: int, m: int, k: int) -> int:
@@ -64,16 +61,16 @@ def hom_dim(n: int, m: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def derivative_op(n: int, k: int) -> tuple:
     """d/dx_j from degree k to k-1 as two read-only integer arrays, each of
-    shape (C(n+k-2, k-1), n): for the b-th degree-(k-1) multi-index beta,
+    shape (C(n+k-2, k-1), n): for row b of ``monomial_basis(n, k-1)``, beta,
     ``index[b, j]`` is the position of beta + e_j in ``monomial_basis(n, k)``
     and ``exponent[b, j]`` is beta_j + 1, so coefficient b of d_j p is
-    ``exponent[b, j] * coeffs[:, index[b, j]]``."""
+    ``exponent[b, j] * coeffs[:, index[b, j]]``.  Both are arithmetic on the
+    table: one :func:`monomial_position` call and one addition."""
     if k < 1:
         raise ValueError("cannot differentiate degree-0 coefficients")
-    idx = monomial_index(n, k)
-    index = np.array([[idx[beta[:j] + (beta[j] + 1,) + beta[j + 1:]] for j in range(n)]
-                      for beta in monomial_basis(n, k - 1)], dtype=np.int64)
-    exponent = np.array(monomial_basis(n, k - 1), dtype=np.int64) + 1
+    lower = monomial_basis(n, k - 1)
+    index = monomial_position(lower[:, None, :] + np.eye(n, dtype=np.int64))
+    exponent = lower + 1
     index.setflags(write=False)
     exponent.setflags(write=False)
     return index, exponent
@@ -92,8 +89,8 @@ class HomPoly:
     """Homogeneous degree-k polynomial map R^n -> R^m in monomial coordinates.
 
     ``coeffs`` has shape (m, C(n+k-1, k)); row a holds the coefficients of
-    the a-th output component against ``monomial_basis(n, k)``, so
-    p_a(x) = sum_beta coeffs[a, idx(beta)] * x**beta.
+    the a-th output component against the rows of ``monomial_basis(n, k)``,
+    so p_a(x) = sum_beta coeffs[a, monomial_position(beta)] * x**beta.
     """
 
     n: int
@@ -125,7 +122,7 @@ class HomPoly:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError("point has wrong dimension")
-        monomials = np.prod(x ** exponent_array(self.n, self.k), axis=1)
+        monomials = np.prod(x ** monomial_basis(self.n, self.k), axis=1)
         return self.coeffs @ monomials
 
     def is_zero(self, tol=0.0) -> bool:
@@ -157,7 +154,8 @@ def slot_matrices(p: HomPoly) -> np.ndarray:
     degree-(k-1) monomial, block ``[:, b, :]`` of :func:`derivative_coords`."""
     if p.k < 1:
         raise ValueError("a degree-0 map has no slot matrices")
-    scale = [prod(map(factorial, beta)) / factorial(p.k) for beta in monomial_basis(p.n, p.k - 1)]
+    scale = [prod(map(factorial, beta)) / factorial(p.k)
+             for beta in monomial_basis(p.n, p.k - 1).tolist()]
     partials = derivative_coords(p.coeffs, p.n, p.m, p.k)[0].transpose(1, 0, 2)
     return partials * np.array(scale)[:, None, None]
 
@@ -174,7 +172,7 @@ def slot_matrix(p: HomPoly, beta) -> np.ndarray:
     beta = tuple(int(b) for b in beta)
     if p.k < 1 or len(beta) != p.n or sum(beta) != p.k - 1:
         raise ValueError("slot multi-index must have degree k-1")
-    return slot_matrices(p)[monomial_index(p.n, p.k - 1)[beta]]
+    return slot_matrices(p)[monomial_position(beta)]
 
 
 @dataclass
@@ -219,7 +217,7 @@ def jacobian(F, x) -> np.ndarray:
     for p in [F] if isinstance(F, HomPoly) else F.components.values():
         if p.k == 0:
             continue
-        monomials = np.prod(points[:, None, :] ** exponent_array(p.n, p.k - 1), axis=2)
+        monomials = np.prod(points[:, None, :] ** monomial_basis(p.n, p.k - 1), axis=2)
         # a C-ordered copy: the products below then round as on a stack of derive(p, j)
         partials = np.moveaxis(derivative_coords(p.coeffs, p.n, p.m, p.k)[0], -1, 0).copy()
         out += (partials[:, None] @ monomials[:, :, None])[..., 0]
@@ -250,6 +248,8 @@ def _json_integer(value, key: str, minimum: int) -> int:
     """An integer field of an input file, at least ``minimum``; an integral
     float such as ``2.0`` is accepted, while a bool, a fractional value or a
     non-number raises ValueError naming the field."""
+    if type(value) is int and value >= minimum:  # a plain int, the usual case, needs no other check
+        return value
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < minimum:
         raise ValueError(f"field {key!r} must be an integer >= {minimum}, got {value!r}")
@@ -269,27 +269,48 @@ def json_fields(data: dict, key: str) -> tuple[int, int, list]:
     return _json_integer(data["n"], "n", 1), _json_integer(data["m"], "m", 1), data[key]
 
 
+def json_entries(entries: list, key: str, fields: tuple) -> list:
+    """The entries of list field ``key``, each an object that holds every
+    name in ``fields``; otherwise ValueError naming the entry's index."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"entry {i} of {key!r} must be an object, got {type(entry).__name__}")
+        for name in fields:
+            if name not in entry:
+                raise ValueError(f"entry {i} of {key!r} has no field {name!r}")
+    return entries
+
+
 def polymap_to_json(F: PolyMap) -> dict:
     terms = []
     for k in sorted(F.components):
-        p = F.components[k]
-        basis = monomial_basis(F.n, k)
-        for a, i in zip(*np.nonzero(p.coeffs)):
-            terms.append({"degree": k, "output": int(a) + 1,
-                          "exponents": list(basis[i]), "value": float(p.coeffs[a, i])})
+        coeffs = F.components[k].coeffs
+        outputs, columns = np.nonzero(coeffs)
+        # tolist() gives Python ints and floats, so the JSON bytes do not depend on numpy
+        for a, beta, value in zip(outputs.tolist(), monomial_basis(F.n, k)[columns].tolist(),
+                                  coeffs[outputs, columns].tolist()):
+            terms.append({"degree": k, "output": a + 1, "exponents": beta, "value": value})
     return {"n": F.n, "m": F.m, "terms": terms}
 
 
 def polymap_from_json(data: dict) -> PolyMap:
     n, m, terms = json_fields(data, "terms")
-    comps = {}
-    for term in terms:
+    comps, entries, rows = {}, [], []
+    for i, term in enumerate(json_entries(terms, "terms", ("degree", "output", "exponents", "value"))):
+        if not isinstance(term["exponents"], list):
+            raise ValueError(f"field 'exponents' of entry {i} of 'terms' must be a list, "
+                             f"got {type(term['exponents']).__name__}")
         k = _json_integer(term["degree"], "degree", 0)
         a = _json_integer(term["output"], "output", 1) - 1
-        beta = tuple(_json_integer(e, "exponents", 0) for e in term["exponents"])
+        beta = [_json_integer(e, "exponents", 0) for e in term["exponents"]]
         if len(beta) != n or sum(beta) != k or not 0 <= a < m:
             raise ValueError(f"malformed polynomial term: {term}")
         if k not in comps:
             comps[k] = HomPoly.zero(n, m, k)
-        comps[k].coeffs[a, monomial_index(n, k)[beta]] += float(term["value"])
+        entries.append((k, a, float(term["value"])))
+        rows.append(beta)
+    # a position does not depend on the degree, so one call places every term
+    positions = monomial_position(np.array(rows, dtype=np.int64).reshape(-1, n)).tolist()
+    for (k, a, value), i in zip(entries, positions):
+        comps[k].coeffs[a, i] += value
     return PolyMap(n, m, comps)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prolongation.matspace import make_subspace
-from prolongation.symtensor import HomPoly, PolyMap, monomial_index
+from prolongation.symtensor import HomPoly, PolyMap, monomial_position
 
 
 def skew_generators(n):
@@ -51,12 +51,10 @@ def holomorphic_power(k):
     from math import comb
 
     p = HomPoly.zero(2, 2, k)
-    idx = monomial_index(2, k)
     for j in range(k + 1):
         c = comb(k, j) * (1j ** j)
         beta = (k - j, j)
-        p.coeffs[0, idx[beta]] = c.real
-        p.coeffs[1, idx[beta]] = c.imag
+        p.coeffs[:, monomial_position(beta)] = c.real, c.imag
     return p
 
 

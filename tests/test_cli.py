@@ -715,6 +715,27 @@ def test_a_list_field_that_is_an_object_is_exit_one(tmp_path, capsys, kind, fiel
     assert f"field '{field}' must be a list" in capsys.readouterr().err
 
 
+TERM = {"degree": 1, "output": 1, "exponents": [1, 0], "value": 1.0}
+GENERATOR = {"matrix": np.eye(2).tolist(), "vector": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("kind, entry, message", [
+    ("polynomial", [1, 0], "entry 1 of 'terms' must be an object, got list"),
+    ("polynomial", {"degree": 1, "output": 1, "exponents": [1, 0]},
+     "entry 1 of 'terms' has no field 'value'"),
+    ("polynomial", {**TERM, "exponents": 1},
+     "field 'exponents' of entry 1 of 'terms' must be a list, got int"),
+    ("augmented", {"matrix": np.eye(2).tolist()}, "entry 1 of 'generators' has no field 'vector'")],
+    ids=["term-a-list", "term-without-value", "exponents-an-int", "generator-without-vector"])
+def test_a_malformed_entry_is_named_by_index_and_field(tmp_path, capsys, kind, entry, message):
+    # Python's own messages named neither, e.g. "'value'" or
+    # "list indices must be integers or slices, not str"
+    field, valid = ("terms", TERM) if kind == "polynomial" else ("generators", GENERATOR)
+    argv = write_inputs(tmp_path, {kind: {"n": 2, "m": 2, field: [valid, entry]}})
+    assert main(argv["verify" if kind == "polynomial" else "jet"]) == 1
+    assert f"invalid input: {message}" in capsys.readouterr().err
+
+
 def test_explicitly_empty_lists_stay_valid(tmp_path):
     argv = write_inputs(tmp_path, {
         "subspace": {"n": 2, "m": 2, "generators": []},

@@ -9,22 +9,21 @@ from prolongation.polyspace import (
 )
 from prolongation.prolong import chain, mk_direct
 from prolongation.symtensor import (
-    HomPoly, PolyMap, contract, jacobian, monomial_index, polymap_to_json,
+    HomPoly, PolyMap, contract, jacobian, monomial_position, polymap_to_json,
 )
 
 
 def conformal_quadratic(axis, n=3):
     """2 x_l x - |x|^2 e_l, the classical inversion generator."""
     p = HomPoly.zero(n, n, 2)
-    idx = monomial_index(n, 2)
     for j in range(n):
         sq = tuple(2 if t == j else 0 for t in range(n))
-        p.coeffs[axis, idx[sq]] -= 1.0
+        p.coeffs[axis, monomial_position(sq)] -= 1.0
     for j in range(n):
         beta = tuple(
             (2 if j == axis else 1) if t in (j, axis) else 0 for t in range(n)
         )
-        p.coeffs[j, idx[beta]] += 2.0
+        p.coeffs[j, monomial_position(beta)] += 2.0
     return p
 
 
@@ -136,7 +135,7 @@ def test_verify_membership_conformal_elements():
 def test_verify_membership_failure_is_a_verdict():
     V = skew_subspace(3)
     p = HomPoly.zero(3, 3, 2)
-    p.coeffs[0, monomial_index(3, 2)[(2, 0, 0)]] = 1.0  # (x1^2, 0, 0)
+    p.coeffs[0, monomial_position((2, 0, 0))] = 1.0  # (x1^2, 0, 0)
     report = verify_membership(PolyMap(3, 3, {2: p}), V, samples=20, radius=1.0,
                                tol=1e-9, seed=4)
     assert not report.passed

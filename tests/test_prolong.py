@@ -320,11 +320,18 @@ def test_wide_step_stores_only_its_complement(monkeypatch):
     assert retained <= 5e6
 
 
+def clear_monomial_caches():
+    monomial_basis.cache_clear()
+    derivative_op.cache_clear()
+
+
 def test_a_long_chain_keeps_no_dense_derivative_operators():
     # span{(x + y/2)^k} has dimension 1 at every degree, so a chain to k = 250
-    # is cheap, and what it retains is what its caches keep: two small integer
-    # arrays per degree in the derivative table (about 5 MB with the monomial
-    # caches), where the dense derivative operators kept 88 MB
+    # is cheap, and what it retains is the report and what its caches keep: the
+    # monomial table and the two integer arrays of the derivative table per
+    # degree, about 2 MB, where tuple and dict caches kept 4.7 MB and the dense
+    # derivative operators 88 MB
+    clear_monomial_caches()
     V = make_subspace(2, 1, [np.array([[1.0, 0.5]])])
     tracemalloc.start()
     try:
@@ -333,7 +340,22 @@ def test_a_long_chain_keeps_no_dense_derivative_operators():
     finally:
         tracemalloc.stop()
     assert report.alpha == [1] * 251
-    assert retained <= 12e6
+    assert retained <= 3e6
+
+
+def test_a_long_chain_in_three_variables_keeps_only_integer_tables():
+    # the same in three variables to k = 60 keeps about 3.2 MB, where the tuple
+    # and dict caches of the monomials kept 7.6 MB; their number grows as k^2
+    clear_monomial_caches()
+    V = make_subspace(3, 1, [np.array([[1.0, 0.5, 0.25]])])
+    tracemalloc.start()
+    try:
+        report = chain(V, 60)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.alpha == [1] * 61
+    assert retained <= 5e6
 
 
 def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch):

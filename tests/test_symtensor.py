@@ -12,11 +12,10 @@ from prolongation.symtensor import (
     derivative_coords,
     derivative_op,
     derive,
-    exponent_array,
     hom_dim,
     jacobian,
     monomial_basis,
-    monomial_index,
+    monomial_position,
     polymap_from_json,
     polymap_to_json,
     slot_matrices,
@@ -25,9 +24,41 @@ from prolongation.symtensor import (
 
 
 def test_monomial_basis_canonical_order():
-    assert monomial_basis(2, 2) == ((2, 0), (1, 1), (0, 2))
-    assert monomial_basis(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert monomial_basis(1, 4) == ((4,),)
+    assert monomial_basis(2, 2).tolist() == [[2, 0], [1, 1], [0, 2]]
+    assert monomial_basis(3, 1).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert monomial_basis(1, 4).tolist() == [[4]]
+
+
+def recursive_basis(n, k):
+    """The monomials as the recursive tuple construction the table replaced:
+    the first exponent from k down to 0, each followed by the rest in n - 1
+    variables."""
+    if n == 1:
+        return ((k,),)
+    return tuple((first,) + rest for first in range(k, -1, -1)
+                 for rest in recursive_basis(n - 1, k - first))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_monomial_table_matches_the_recursive_construction(n):
+    for k in range(11):
+        reference = recursive_basis(n, k)
+        position = {beta: i for i, beta in enumerate(reference)}
+        basis = monomial_basis(n, k)
+        assert basis.dtype == np.int64 and not basis.flags.writeable
+        assert basis.tolist() == [list(beta) for beta in reference]
+        assert monomial_position(basis).tolist() == list(range(len(reference)))
+        if k == 0:
+            continue
+        lower = recursive_basis(n, k - 1)
+        index, exponent = derivative_op(n, k)
+        assert index.tolist() == [[position[beta[:j] + (beta[j] + 1,) + beta[j + 1:]]
+                                   for j in range(n)] for beta in lower]
+        assert exponent.tolist() == [[e + 1 for e in beta] for beta in lower]
+    # a position does not depend on the degree: one call serves rows of any degrees
+    every = np.concatenate([monomial_basis(n, k) for k in range(11)])
+    assert monomial_position(every).tolist() == [
+        i for k in range(11) for i in range(comb(n + k - 1, k))]
 
 
 def test_monomial_basis_rejects_zero_dimension():
@@ -44,10 +75,10 @@ def test_hom_dim():
 def test_derive_examples():
     # p = (x1^2 x2, 0)
     p = HomPoly.zero(2, 2, 3)
-    p.coeffs[0, monomial_index(2, 3)[(2, 1)]] = 1.0
+    p.coeffs[0, monomial_position((2, 1))] = 1.0
     d = derive(p, 0)
     expected = HomPoly.zero(2, 2, 2)
-    expected.coeffs[0, monomial_index(2, 2)[(1, 1)]] = 2.0
+    expected.coeffs[0, monomial_position((1, 1))] = 2.0
     assert np.allclose(d.coeffs, expected.coeffs)
 
     q = HomPoly(1, 1, 2, [[1.0]])  # x1^2 in one variable has no second coordinate
@@ -55,7 +86,7 @@ def test_derive_examples():
         derive(q, 1)
 
     univariate = HomPoly.zero(2, 1, 2)
-    univariate.coeffs[0, monomial_index(2, 2)[(2, 0)]] = 1.0
+    univariate.coeffs[0, monomial_position((2, 0))] = 1.0
     assert derive(univariate, 1).is_zero()
 
 
@@ -89,10 +120,10 @@ def test_contract_examples():
     assert np.allclose(contract(p, [1.0]).coeffs, [[1.0]])
 
     q = HomPoly.zero(2, 1, 2)  # x1 x2
-    q.coeffs[0, monomial_index(2, 2)[(1, 1)]] = 1.0
+    q.coeffs[0, monomial_position((1, 1))] = 1.0
     c = contract(q, [0.0, 1.0])
-    assert np.allclose(c.coeffs[0, monomial_index(2, 1)[(1, 0)]], 0.5)
-    assert np.allclose(c.coeffs[0, monomial_index(2, 1)[(0, 1)]], 0.0)
+    assert np.allclose(c.coeffs[0, monomial_position((1, 0))], 0.5)
+    assert np.allclose(c.coeffs[0, monomial_position((0, 1))], 0.0)
 
 
 def test_contract_zero_vector_gives_zero(rng):
@@ -123,7 +154,7 @@ def test_contract_linearity_and_commutation(rng):
 
 def test_slot_matrix_examples():
     p = HomPoly.zero(2, 2, 2)  # (x1 x2, 0)
-    p.coeffs[0, monomial_index(2, 2)[(1, 1)]] = 1.0
+    p.coeffs[0, monomial_position((1, 1))] = 1.0
     assert np.allclose(slot_matrix(p, (1, 0)), [[0.0, 0.5], [0.0, 0.0]])
 
     q = HomPoly(2, 1, 2, [[1.0, 0.0, 0.0]])  # x1^2
@@ -160,17 +191,17 @@ def test_slot_table_holds_positions_and_weights(rng, n, k):
     # the slot rule reads the derivative table: positions index[b, j] at the
     # weights gamma!/k! = exponent[b, j] * beta!/k!
     index, exponent = derivative_op(n, k)
-    lower = monomial_basis(n, k - 1)
+    lower = monomial_basis(n, k - 1).tolist()
     assert index.shape == exponent.shape == (comb(n + k - 2, k - 1), n)
     assert not index.flags.writeable and not exponent.flags.writeable
     p = random_hompoly(rng, n, 2, k)
     # the derivative table against the dense matrices of d/dx_j it replaces,
     # built from the exponent rule d_j x^gamma = gamma_j x^(gamma - e_j)
     dense = np.zeros((n, len(lower), comb(n + k - 1, k)))
-    for c, gamma in enumerate(monomial_basis(n, k)):
+    for c, gamma in enumerate(monomial_basis(n, k).tolist()):
         for j in range(n):
             if gamma[j] > 0:
-                b = monomial_index(n, k - 1)[gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]]
+                b = monomial_position(gamma[:j] + [gamma[j] - 1] + gamma[j + 1:])
                 dense[j, b, c] = gamma[j]
     from_table = np.zeros_like(dense)
     for j in range(n):
@@ -186,8 +217,8 @@ def test_slot_table_holds_positions_and_weights(rng, n, k):
     assert slots.shape == (len(lower), 2, n)
     for b, beta in enumerate(lower):
         for j in range(n):
-            gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-            assert index[b, j] == monomial_index(n, k)[gamma]
+            gamma = beta[:j] + [beta[j] + 1] + beta[j + 1:]
+            assert index[b, j] == monomial_position(gamma)
             assert exponent[b, j] * prod(map(factorial, beta)) == prod(map(factorial, gamma))
         assert np.array_equal(slots[b], slot_matrix(p, beta))
         # the slot matrix is (1/k!) d^beta d_j p, taken here by repeated derivation
@@ -258,7 +289,7 @@ def _derive_stack_jacobian(p, x):
     points = np.asarray(x, dtype=float).reshape(-1, p.n)
     out = np.zeros((p.n, len(points), p.m))
     if p.k > 0:
-        monomials = np.prod(points[:, None, :] ** exponent_array(p.n, p.k - 1), axis=2)
+        monomials = np.prod(points[:, None, :] ** monomial_basis(p.n, p.k - 1), axis=2)
         partials = np.stack([derive(p, j).coeffs for j in range(p.n)])
         out += (partials[:, None] @ monomials[:, :, None])[..., 0]
     return np.moveaxis(out, 0, -1).reshape(np.shape(x)[:-1] + (p.m, p.n))
@@ -291,8 +322,8 @@ def test_polymap_json_lists_nonzero_terms_by_output_then_monomial(rng):
     F = PolyMap(2, 2, {2: p, 0: random_hompoly(rng, 2, 2, 0)})
     data = json.loads(json.dumps(polymap_to_json(F)))
     expected = [(0, a + 1, [0, 0]) for a in range(2)]
-    expected += [(2, a + 1, list(beta)) for a in range(2)
-                 for i, beta in enumerate(monomial_basis(2, 2)) if (a, i) not in ((0, 1), (1, 0))]
+    expected += [(2, a + 1, beta) for a in range(2)
+                 for i, beta in enumerate(monomial_basis(2, 2).tolist()) if (a, i) not in ((0, 1), (1, 0))]
     assert [(t["degree"], t["output"], t["exponents"]) for t in data["terms"]] == expected
 
 
