@@ -248,12 +248,10 @@ def _json_integer(value, key: str, minimum: int) -> int:
     """An integer field of an input file, at least ``minimum``; an integral
     float such as ``2.0`` is accepted, while a bool, a fractional value or a
     non-number raises ValueError naming the field."""
-    if type(value) is int and value >= minimum:  # a plain int, the usual case, needs no other check
-        return value
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < minimum:
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if type(number) is not int or number < minimum:
         raise ValueError(f"field {key!r} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    return number
 
 
 def json_fields(data: dict, key: str) -> tuple[int, int, list]:

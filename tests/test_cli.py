@@ -728,8 +728,6 @@ GENERATOR = {"matrix": np.eye(2).tolist(), "vector": [0.0, 0.0]}
     ("augmented", {"matrix": np.eye(2).tolist()}, "entry 1 of 'generators' has no field 'vector'")],
     ids=["term-a-list", "term-without-value", "exponents-an-int", "generator-without-vector"])
 def test_a_malformed_entry_is_named_by_index_and_field(tmp_path, capsys, kind, entry, message):
-    # Python's own messages named neither, e.g. "'value'" or
-    # "list indices must be integers or slices, not str"
     field, valid = ("terms", TERM) if kind == "polynomial" else ("generators", GENERATOR)
     argv = write_inputs(tmp_path, {kind: {"n": 2, "m": 2, field: [valid, entry]}})
     assert main(argv["verify" if kind == "polynomial" else "jet"]) == 1

@@ -328,9 +328,7 @@ def clear_monomial_caches():
 def test_a_long_chain_keeps_no_dense_derivative_operators():
     # span{(x + y/2)^k} has dimension 1 at every degree, so a chain to k = 250
     # is cheap, and what it retains is the report and what its caches keep: the
-    # monomial table and the two integer arrays of the derivative table per
-    # degree, about 2 MB, where tuple and dict caches kept 4.7 MB and the dense
-    # derivative operators 88 MB
+    # monomial table and the two integer arrays of the derivative table per degree
     clear_monomial_caches()
     V = make_subspace(2, 1, [np.array([[1.0, 0.5]])])
     tracemalloc.start()
@@ -344,8 +342,8 @@ def test_a_long_chain_keeps_no_dense_derivative_operators():
 
 
 def test_a_long_chain_in_three_variables_keeps_only_integer_tables():
-    # the same in three variables to k = 60 keeps about 3.2 MB, where the tuple
-    # and dict caches of the monomials kept 7.6 MB; their number grows as k^2
+    # the same in three variables to k = 60, where the number of monomials per
+    # degree grows as k^2
     clear_monomial_caches()
     V = make_subspace(3, 1, [np.array([[1.0, 0.5, 0.25]])])
     tracemalloc.start()

@@ -30,7 +30,7 @@ def test_monomial_basis_canonical_order():
 
 
 def recursive_basis(n, k):
-    """The monomials as the recursive tuple construction the table replaced:
+    """The monomials built independently of the table, as recursive tuples:
     the first exponent from k down to 0, each followed by the rest in n - 1
     variables."""
     if n == 1:
