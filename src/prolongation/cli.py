@@ -153,6 +153,8 @@ def _cmd_polysolve(args) -> dict:
 def _cmd_manifold(args) -> dict:
     family = builtin_family(args.family, args.dim)
     if args.emit_tangent:
+        if args.format == "table":
+            raise ValueError("--emit-tangent writes a JSON file; it takes no --format table")
         # raw subspace file, replayable through the linear subcommands
         return subspace_to_json(tangent_space(family, family.base_point))
     return sample_analysis(

@@ -18,7 +18,7 @@ import numpy as np
 from .config import TOLERANCES
 from .matspace import (MatrixSubspace, _gram_schmidt, make_subspace, nullspace_rows,
                        rank_from_singular_values, row_space)
-from .obstruct import classify_delta_full, complex_structure_plane
+from .obstruct import ClassifyOutcome, complex_structure_plane, find_witnesses
 from .prolong import chain
 from .symtensor import (
     HomPoly,
@@ -242,10 +242,8 @@ def sample_analysis(family: ConstraintFamily, sample_count: int = 20,
         if report.delta.status == "finite":
             statuses.append(report.delta)
         else:
-            outcome = classify_delta_full(
-                Vt, k_max, seed=1_000_003 * seed + i, restarts=restarts, report=report,
-            )
-            statuses.append(outcome.delta)
+            witnesses = find_witnesses(Vt, 1_000_003 * seed + i, restarts)
+            statuses.append(ClassifyOutcome(report, *witnesses).delta)
         alphas.append(tuple(report.alpha))
     constant = len(set(alphas)) == 1
     all_finite = all(s.status == "finite" for s in statuses)

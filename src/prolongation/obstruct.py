@@ -79,15 +79,8 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(restart)])
 
 
-def __getattr__(name: str):
-    """Import ``scipy.optimize.minimize`` on first use and cache it in the
-    module namespace.  Nothing in the library calls it any more; the
-    attribute resolves for callers that still read ``obstruct.minimize``."""
-    if name == "minimize":
-        from scipy.optimize import minimize
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# nothing calls it; perfbench/tracing.py still reads and rebinds the name
+minimize = None
 
 
 # --- the rank-one search in V (x) C ----------------------------------------
@@ -321,12 +314,22 @@ def verify_complex_pair(V: MatrixSubspace, witness: ComplexPairWitness) -> bool:
 
 @dataclass
 class ClassifyOutcome:
-    """Verdict plus everything the searches produced along the way."""
+    """A chain and the witnesses its search of V (x) C certified."""
 
-    delta: DeltaStatus
     chain_report: ChainReport
     rank_one: RankOneWitness | None = None
     complex_pair: ComplexPairWitness | None = None
+
+    @property
+    def delta(self) -> DeltaStatus:
+        """The chain's delta, unless the chain did not terminate and a witness
+        was certified: then ``infinite_certified`` with that witness, the
+        rank-one witness before the pair."""
+        delta = self.chain_report.delta
+        witness = self.rank_one if self.rank_one is not None else self.complex_pair
+        if delta.status == "finite" or witness is None:
+            return delta
+        return DeltaStatus("infinite_certified", delta.value, witness)
 
     def searches_json(self) -> dict:
         return {
@@ -346,30 +349,17 @@ def find_witnesses(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
 
 
 def classify_delta_full(V: MatrixSubspace, k_max: int = 8, seed: int = 0,
-                        restarts: int = 64,
-                        report: ChainReport | None = None) -> ClassifyOutcome:
+                        restarts: int = 64) -> ClassifyOutcome:
     """Chain first, then the search; certified witnesses decide infinity.
 
     The search runs even when the chain terminates, as a consistency
     guard: a finite chain together with a certified witness means the
     tolerance configuration is broken and raises
-    :class:`InternalInconsistencyError`.  A rank-one witness is preferred;
-    the complex pair is still recorded.
+    :class:`InternalInconsistencyError`.
     """
-    if report is None:
-        report = chain(V, k_max)
-    rank_one, complex_pair = find_witnesses(V, seed, restarts)
-    witness = rank_one if rank_one is not None else complex_pair
-    if report.delta.status == "finite":
-        if witness is not None:
-            raise InternalInconsistencyError(
-                "chain terminated at degree "
-                f"{report.delta.value} but a witness was certified"
-            )
-        delta = report.delta
-    elif witness is not None:
-        delta = DeltaStatus.infinite(witness, k_max)
-    else:
-        delta = report.delta
-    return ClassifyOutcome(delta=delta, chain_report=report,
-                           rank_one=rank_one, complex_pair=complex_pair)
+    outcome = ClassifyOutcome(chain(V, k_max), *find_witnesses(V, seed, restarts))
+    certified = outcome.rank_one is not None or outcome.complex_pair is not None
+    if outcome.delta.status == "finite" and certified:
+        raise InternalInconsistencyError(
+            f"chain terminated at degree {outcome.delta.value} but a witness was certified")
+    return outcome

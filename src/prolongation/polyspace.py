@@ -52,7 +52,6 @@ def solution_basis(report: ChainReport) -> PolyBasis:
         for p in space.basis:
             elements.append(PolyMap(report.n, report.m, {space.degree: p}))
             degrees.append(space.degree)
-    assert len(elements) == report.alpha_total
     return PolyBasis(report.n, report.m, elements, degrees)
 
 
@@ -105,10 +104,10 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
     case central finite differences are used.  Failure, including a
     non-finite residual, is a report outcome, not an error.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if samples < 1 or not radius > 0:
-        raise ValueError("need at least one sample and a positive radius")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
+    if samples < 1 or not 0 < radius < math.inf:
+        raise ValueError("need at least one sample and a finite positive radius")
     rng = np.random.default_rng(seed)
     points = _sample_ball(rng, V.n, radius, samples)
     if isinstance(F, PolyMap):

@@ -70,32 +70,37 @@ class DeltaStatus:
     value: int
     witness: object = None
 
-    @classmethod
-    def finite(cls, d):
-        return cls("finite", d)
-
-    @classmethod
-    def lower_bound(cls, k_max):
-        return cls("lower_bound", k_max)
-
-    @classmethod
-    def infinite(cls, witness, k_max):
-        return cls("infinite_certified", k_max, witness)
-
     def to_json(self) -> dict:
         return {"status": self.status, "value": self.value}
 
 
 @dataclass
 class ChainReport:
-    """Computed chain with its invariants."""
+    """Computed chain; its integers are read from its spaces.
+
+    ``spaces`` holds degrees 0, 1, ... up to the first empty space or
+    ``k_max``, whichever comes first.
+    """
 
     n: int
     m: int
-    dim_v: int
-    alpha: list
-    delta: DeltaStatus
     spaces: list = field(repr=False)
+
+    @property
+    def alpha(self) -> list:
+        return [space.dim for space in self.spaces]
+
+    @property
+    def dim_v(self) -> int:
+        return self.spaces[1].dim
+
+    @property
+    def delta(self) -> DeltaStatus:
+        """Finite at the degree before an empty last space, otherwise a lower
+        bound at the last degree computed."""
+        if self.spaces[-1].dim == 0:
+            return DeltaStatus("finite", len(self.spaces) - 2)
+        return DeltaStatus("lower_bound", len(self.spaces) - 1)
 
     @property
     def alpha_total(self) -> int:
@@ -228,16 +233,11 @@ def chain(V: MatrixSubspace, k_max: int = 8) -> ChainReport:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     spaces = [constants_space(V.n, V.m)]
-    alpha = [V.m]
-    delta = DeltaStatus.lower_bound(k_max)
-    for k in range(1, k_max + 1):
-        nxt = mk_step(V, spaces[-1])
-        spaces.append(nxt)
-        alpha.append(nxt.dim)
-        if nxt.dim == 0:
-            delta = DeltaStatus.finite(k - 1)
+    for _ in range(k_max):
+        spaces.append(mk_step(V, spaces[-1]))
+        if spaces[-1].dim == 0:
             break
-    return ChainReport(V.n, V.m, V.dim, alpha, delta, spaces)
+    return ChainReport(V.n, V.m, spaces)
 
 
 def membership_residual(p: HomPoly, V: MatrixSubspace) -> float:

@@ -405,6 +405,16 @@ def test_a_non_finite_report_value_is_exit_one(conformal_file, monkeypatch, caps
     assert "invalid input" in captured.err
 
 
+def test_emit_tangent_rejects_the_table_format(tmp_path, capsys):
+    # the bare subspace file is JSON; a table request is refused, not ignored
+    out = tmp_path / "tangent.txt"
+    assert main(["manifold", "--family", "conformal", "--dim", "3", "--emit-tangent",
+                 "--format", "table", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--emit-tangent" in err and "--format table" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["chain", "--input", "{conformal}"],
     ["polysolve", "--input", "{conformal}"],

@@ -13,6 +13,7 @@ from prolongation.matspace import (
     subspaces_equal,
 )
 from prolongation.obstruct import (
+    ClassifyOutcome,
     ComplexPairWitness,
     RankOneWitness,
     classify_delta_full,
@@ -23,7 +24,7 @@ from prolongation.obstruct import (
     verify_complex_pair,
     verify_rank_one,
 )
-from prolongation.prolong import mk_direct
+from prolongation.prolong import DeltaStatus, chain, mk_direct
 
 
 def unit(v):
@@ -300,6 +301,24 @@ def test_classify_reference_plane_is_infinite():
         "rank_one": "inconclusive",
         "complex_pair": "certified",
     }
+
+
+def test_the_verdict_is_read_from_the_chain_and_the_certified_witnesses():
+    finite = chain(conformal_subspace(3), 4)
+    assert ClassifyOutcome(finite).delta == DeltaStatus("finite", 2)
+    # span{I_pad, J_pad, E_33} holds a real rank-one element and the reference plane
+    W = complex_structure_plane(3, 3)
+    corner = np.zeros((3, 3))
+    corner[2, 2] = 1.0
+    V = make_subspace(3, 3, [*W.basis, corner])
+    rank_one, pair = find_witnesses(V, seed=0, restarts=8)
+    assert rank_one is not None and pair is not None
+    bound = chain(V, 3)
+    assert ClassifyOutcome(bound).delta == DeltaStatus("lower_bound", 3)
+    assert ClassifyOutcome(bound, None, pair).delta == DeltaStatus("infinite_certified", 3, pair)
+    both = ClassifyOutcome(bound, rank_one, pair)
+    assert both.delta.status == "infinite_certified" and both.delta.witness is rank_one
+    assert both.searches_json() == {"rank_one": "certified", "complex_pair": "certified"}
 
 
 def test_classify_matches_direct_oracle_on_random_spaces(rng):

@@ -156,7 +156,9 @@ def test_verify_membership_rejects_bad_tolerance():
         verify_membership(PolyMap(3, 3, {0: HomPoly.zero(3, 3, 0)}), V, tol=0.0)
 
 
-@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"radius": 0.0}, {"radius": np.nan}])
+# an infinite tol passes a non-member, x -> (x1^2, 0) against span{I} among them
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"radius": 0.0}, {"radius": np.nan},
+                                    {"radius": np.inf}, {"tol": np.inf}])
 def test_verify_membership_rejects_vacuous_sampling(kwargs):
     V = skew_subspace(3)
     with pytest.raises(ValueError):

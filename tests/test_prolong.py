@@ -17,6 +17,7 @@ from prolongation.matspace import (conjugate, distance, largest_principal_angle,
                                    row_complement)
 import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
+    DeltaStatus,
     HomSolutionSpace,
     chain,
     constants_space,
@@ -447,6 +448,16 @@ def test_chain_on_the_whole_matrix_space():
     assert report.delta.status == "lower_bound" and report.delta.value == 4
     for k, space in enumerate(report.spaces):
         assert spaces_match(space, mk_direct(V, k)), k
+
+
+def test_a_chain_that_dies_at_k_max_is_finite_one_degree_below():
+    # the conformal chain's degree-3 space is empty
+    report = chain(conformal_subspace(3), 3)
+    assert report.alpha == [3, 4, 3, 0]
+    assert report.delta == DeltaStatus("finite", 2)
+    short = chain(conformal_subspace(3), 2)
+    assert short.alpha == [3, 4, 3]
+    assert short.delta == DeltaStatus("lower_bound", 2)
 
 
 def test_chain_rejects_bad_k_max():
