@@ -6,25 +6,19 @@ from .config import TOLERANCES, Tolerances
 from .symtensor import (
     HomPoly,
     PolyMap,
-    contract,
-    derive,
-    hom_dim,
     jacobian,
     monomial_basis,
     polymap_from_json,
     polymap_to_json,
-    slot_matrix,
 )
 from .matspace import (
     MatrixSubspace,
-    conjugate,
     distance,
     largest_principal_angle,
     make_subspace,
     project,
     subspace_from_json,
     subspace_to_json,
-    subspaces_equal,
 )
 from .prolong import (
     ChainReport,
@@ -61,10 +55,8 @@ from .manifolds import (
     DegeneratePointError,
     JetReport,
     ManifoldReport,
-    augment_with_full_range,
     augmented_from_json,
     augmented_jet_space,
-    augmented_to_json,
     builtin_family,
     linear_family,
     make_augmented,

@@ -12,13 +12,13 @@ class Tolerances:
     """Thresholds for rank decisions, certificates and sampling checks.
 
     Every numerical-dependence decision (a rank, a nullspace, a dependent
-    generator, a singular conjugating matrix) compares against ``rank_rel``;
+    generator) compares against ``rank_rel``;
     the remaining knobs gate individual certificates, input rejections and
     consistency checks.
     """
 
     # linear algebra substrate
-    rank_rel: float = 1e-9            # numerical dependence: rank, generators, conjugation
+    rank_rel: float = 1e-9            # numerical dependence: rank, generators
     orthonormality: float = 1e-10     # unit-norm slack of a rank-one witness
 
     # obstruction certificates
@@ -27,8 +27,7 @@ class Tolerances:
     polish_stall_window: int = 100    # projection steps over which sigma_2/sigma_1 must halve
     polish_newton_ratio: float = 1e-2  # sigma_2/sigma_1 below which Newton steps finish the polish
 
-    # derivative and manifold checks
-    fd_step: float = 1e-5             # central finite-difference step for Jacobians
+    # manifold checks
     on_manifold: float = 1e-9         # residual bound for points on a constraint set
     jet_consistency: float = 1e-8     # least-squares residual bound for jet systems
 

@@ -24,7 +24,6 @@ from .symtensor import (
     HomPoly,
     PolyMap,
     derivative_coords,
-    fd_jacobian,
     json_entries,
     json_fields,
     polymap_to_json,
@@ -39,9 +38,8 @@ class DegeneratePointError(ValueError):
 class ConstraintFamily:
     """Admissible-Jacobian set cut out by ``defining(A) = 0``.
 
-    Both functions read the matrix alone.  ``jacobian_fn(A)`` may supply
-    the derivative of ``defining`` as a (residual_dim, m*n) matrix; otherwise
-    central finite differences with ``fd_step`` are used.
+    ``defining`` and ``jacobian_fn`` read the matrix alone; ``jacobian_fn(A)``
+    is the derivative of ``defining`` as a (residual_dim, m*n) matrix.
     ``manifold_dim`` is the expected tangent dimension, flagging degeneracy.
     """
 
@@ -50,9 +48,9 @@ class ConstraintFamily:
     m: int
     manifold_dim: int
     defining: callable
+    jacobian_fn: callable
     sample: callable                     # rng -> matrix on the constraint set
     base_point: np.ndarray
-    jacobian_fn: callable = None
 
 
 def _symmetric_basis(n: int, trace_free: bool) -> list:
@@ -182,12 +180,7 @@ def tangent_space(family: ConstraintFamily, A) -> MatrixSubspace:
         raise ValueError("point has the wrong shape")
     if not np.linalg.norm(family.defining(A)) <= TOLERANCES.on_manifold:  # NaN fails
         raise ValueError("the point does not lie on the constraint set")
-    if family.jacobian_fn is not None:
-        J = np.asarray(family.jacobian_fn(A))
-    else:
-        J = fd_jacobian(lambda a: family.defining(a.reshape(A.shape)), A.ravel(),
-                        TOLERANCES.fd_step)
-    rows = nullspace_rows(J)
+    rows = nullspace_rows(np.asarray(family.jacobian_fn(A)))
     if rows.shape[0] != family.manifold_dim:
         raise DegeneratePointError(
             f"tangent dimension {rows.shape[0]} at this point, expected {family.manifold_dim}"
@@ -289,14 +282,6 @@ def make_augmented(n: int, m: int, pairs) -> AugmentedSubspace:
     return AugmentedSubspace(n, m, np.array(_gram_schmidt(vecs)))
 
 
-def augment_with_full_range(V: MatrixSubspace) -> AugmentedSubspace:
-    """Pairs (B, v) with B in V and v arbitrary: a constraint on the matrix
-    component only."""
-    pairs = [(B, np.zeros(V.m)) for B in V.basis]
-    pairs += [(np.zeros((V.m, V.n)), e) for e in np.eye(V.m)]
-    return make_augmented(V.n, V.m, pairs)
-
-
 @dataclass
 class JetReport:
     """Truncated jet space through a prescribed first-order part."""
@@ -382,14 +367,7 @@ def augmented_jet_space(v_aug: AugmentedSubspace, A, D: int) -> JetReport:
                      particular=to_polymap(1.0, particular))
 
 
-# --- JSON forms -------------------------------------------------------------
-
-def augmented_to_json(v_aug: AugmentedSubspace) -> dict:
-    n, m = v_aug.n, v_aug.m
-    return {"n": n, "m": m, "generators": [
-        {"matrix": row[:m * n].reshape(m, n).tolist(), "vector": row[m * n:].tolist()}
-        for row in v_aug.basis]}
-
+# --- JSON form --------------------------------------------------------------
 
 def augmented_from_json(data: dict) -> AugmentedSubspace:
     n, m, generators = json_fields(data, "generators")

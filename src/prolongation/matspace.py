@@ -1,11 +1,10 @@
 """Subspaces of L(R^n, R^m) under the Frobenius inner product.
 
-Construction, projection, distances, conjugation by invertible matrices and
-rank decisions.  Every numerical-dependence decision compares against the one
-threshold ``rank_rel``: each rank and nullspace in the package funnels through
-:func:`rank_from_singular_values`, a generator counts as dependent unless its
-residual exceeds ``rank_rel`` times its norm, and :func:`conjugate` rejects a
-matrix whose sigma_min/sigma_max is at most ``rank_rel``.
+Construction, projection, distances and rank decisions.  Every
+numerical-dependence decision compares against the one threshold
+``rank_rel``: each rank and nullspace in the package funnels through
+:func:`rank_from_singular_values`, and a generator counts as dependent unless
+its residual exceeds ``rank_rel`` times its norm.
 """
 
 from dataclasses import dataclass
@@ -153,27 +152,6 @@ def distances(stack, V: MatrixSubspace) -> np.ndarray:
     coefficients = (V.flat @ flat[:, :, None])[:, :, 0]
     residual = flat - (coefficients[:, None, :] @ V.flat)[:, 0]
     return np.sqrt(residual[:, None, :] @ residual[:, :, None]).ravel()
-
-
-def conjugate(V: MatrixSubspace, P, Q) -> MatrixSubspace:
-    """Subspace {P B Q : B in V}, re-orthonormalized; rejects singular P, Q."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != (V.m, V.m) or Q.shape != (V.n, V.n):
-        raise ValueError("conjugating matrices have wrong shapes")
-    for M in (P, Q):
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= TOLERANCES.rank_rel * s[0]:
-            raise ValueError("conjugating matrix is singular or near-singular")
-    return make_subspace(V.n, V.m, [P @ B @ Q for B in V.basis])
-
-
-def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace, angle_tol: float) -> bool:
-    """Equality up to a largest principal angle of ``angle_tol`` (basis
-    independent)."""
-    if (V1.n, V1.m) != (V2.n, V2.m) or V1.dim != V2.dim:
-        return False
-    return largest_principal_angle(V1.flat, V2.flat) <= angle_tol
 
 
 # --- JSON form shared with the CLI ---------------------------------------

@@ -213,6 +213,7 @@ def _search(V: MatrixSubspace, seed: int, restarts: int):
     return None, pair
 
 
+# no subcommand calls it; perfbench/tracing.py still reads the name
 def find_rank_one(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for a rank-one element; return a certified witness or None.
 
@@ -246,6 +247,7 @@ def verify_rank_one(V: MatrixSubspace, witness: RankOneWitness) -> bool:
 
 # --- embedded complex-structure plane detector -----------------------------
 
+# no subcommand calls it; perfbench/tracing.py still reads the name
 def find_complex_pair(V: MatrixSubspace, seed: int = 0, restarts: int = 64):
     """Search V for an embedded plane equivalent to the reference one.
 

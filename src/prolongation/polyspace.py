@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES
 from .matspace import MatrixSubspace, distances
 from .prolong import ChainReport
-from .symtensor import PolyMap, fd_jacobian, jacobian, polymap_to_json
+from .symtensor import PolyMap, jacobian, polymap_to_json
 
 
 @dataclass
@@ -29,10 +28,6 @@ class PolyBasis:
     m: int
     elements: list
     degrees: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
 
     def to_json(self) -> dict:
         return {
@@ -100,9 +95,8 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
                       seed: int = 0) -> MembershipReport:
     """Sample the ball and record the worst Jacobian distance from V.
 
-    ``F`` is a PolyMap (exact Jacobian) or any callable R^n -> R^m, in which
-    case central finite differences are used.  Failure, including a
-    non-finite residual, is a report outcome, not an error.
+    ``F`` is a PolyMap (or a HomPoly), whose Jacobian is exact.  Failure,
+    including a non-finite residual, is a report outcome, not an error.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
@@ -110,10 +104,7 @@ def verify_membership(F, V: MatrixSubspace, samples: int = 100,
         raise ValueError("need at least one sample and a finite positive radius")
     rng = np.random.default_rng(seed)
     points = _sample_ball(rng, V.n, radius, samples)
-    if isinstance(F, PolyMap):
-        J = jacobian(F, points)
-    else:
-        J = np.array([fd_jacobian(F, x, TOLERANCES.fd_step) for x in points])
+    J = jacobian(F, points)
     worst = float(np.max(distances(J, V)))  # a NaN propagates and fails the check
     return MembershipReport(max_residual=worst, samples=samples,
                             tol=tol, passed=worst <= tol)

@@ -49,15 +49,6 @@ def monomial_position(exponents) -> np.ndarray:
     return position
 
 
-def hom_dim(n: int, m: int, k: int) -> int:
-    """Dimension of the space of degree-k homogeneous maps R^n -> R^m."""
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be >= 1")
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    return m * comb(n + k - 1, k)
-
-
 @lru_cache(maxsize=None)
 def derivative_op(n: int, k: int) -> tuple:
     """d/dx_j from degree k to k-1 as two read-only integer arrays, each of
@@ -114,37 +105,8 @@ class HomPoly:
     def from_coeff_vector(cls, n, m, k, vec):
         return cls(n, m, k, np.asarray(vec, dtype=float).reshape(m, -1))
 
-    def coeff_vector(self) -> np.ndarray:
-        """Coefficients flattened row-major (output index major)."""
-        return self.coeffs.ravel()
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError("point has wrong dimension")
-        monomials = np.prod(x ** monomial_basis(self.n, self.k), axis=1)
-        return self.coeffs @ monomials
-
-    def is_zero(self, tol=0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
-
-
-def derive(p: HomPoly, i: int) -> HomPoly:
-    """Partial derivative d p / d x_i, one degree down, in C order for jacobian."""
-    if not 0 <= i < p.n:
-        raise ValueError("coordinate index out of range")
-    index, exponent = derivative_op(p.n, p.k)
-    return HomPoly(p.n, p.m, p.k - 1, np.take(p.coeffs, index[:, i], axis=1) * exponent[:, i])
-
-
-def contract(p: HomPoly, x) -> HomPoly:
-    """Fill the last tensor slot with ``x``; in coordinates (1/k) sum_i x_i d_i p."""
-    if p.k < 1:
-        raise ValueError("cannot contract a degree-0 polynomial")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ValueError("vector has wrong dimension")
-    return HomPoly(p.n, p.m, p.k - 1, derivative_coords(p.coeffs, p.n, p.m, p.k)[0] @ x / p.k)
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
 
 def slot_matrices(p: HomPoly) -> np.ndarray:
@@ -160,21 +122,6 @@ def slot_matrices(p: HomPoly) -> np.ndarray:
     return partials * np.array(scale)[:, None, None]
 
 
-def slot_matrix(p: HomPoly, beta) -> np.ndarray:
-    """Matrix of the linear map left after filling k-1 slots according to ``beta``.
-
-    Entry (a, j) equals (1/k!) d^beta d_j p_a, a constant; equivalently the
-    underlying symmetric tensor evaluated on beta_1 copies of e_1, ...,
-    beta_n copies of e_n and e_j.  The 1/k! normalization makes the entries
-    exactly the tensor components; subspace membership tests are
-    scale-invariant, so the constant only matters for round-trip checks.
-    """
-    beta = tuple(int(b) for b in beta)
-    if p.k < 1 or len(beta) != p.n or sum(beta) != p.k - 1:
-        raise ValueError("slot multi-index must have degree k-1")
-    return slot_matrices(p)[monomial_position(beta)]
-
-
 @dataclass
 class PolyMap:
     """Graded sum of homogeneous components, at most one per degree."""
@@ -187,18 +134,6 @@ class PolyMap:
         for k, p in self.components.items():
             if p.n != self.n or p.m != self.m or p.k != k:
                 raise ValueError("component dimensions disagree with the map")
-
-    def degree_component(self, k: int) -> HomPoly:
-        return self.components.get(k, HomPoly.zero(self.n, self.m, k))
-
-    def max_degree(self) -> int:
-        return max(self.components, default=0)
-
-    def evaluate(self, x) -> np.ndarray:
-        out = np.zeros(self.m)
-        for p in self.components.values():
-            out += p.evaluate(x)
-        return out
 
 
 def jacobian(F, x) -> np.ndarray:
@@ -218,25 +153,10 @@ def jacobian(F, x) -> np.ndarray:
         if p.k == 0:
             continue
         monomials = np.prod(points[:, None, :] ** monomial_basis(p.n, p.k - 1), axis=2)
-        # a C-ordered copy: the products below then round as on a stack of derive(p, j)
+        # a C-ordered copy: the products below then round as on each partial's own array
         partials = np.moveaxis(derivative_coords(p.coeffs, p.n, p.m, p.k)[0], -1, 0).copy()
         out += (partials[:, None] @ monomials[:, :, None])[..., 0]
     return np.moveaxis(out, 0, -1).reshape(x.shape[:-1] + (F.m, F.n))
-
-
-def fd_jacobian(f, x, step: float) -> np.ndarray:
-    """Central-difference Jacobian of any callable f at the point x.
-
-    Returns shape (len(f(x)), len(x)); column j is
-    (f(x + step e_j) - f(x - step e_j)) / (2 step).
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        h = np.zeros(x.size)
-        h[j] = step
-        cols.append((np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2 * step))
-    return np.column_stack(cols)
 
 
 # --- JSON form shared with the CLI ---------------------------------------

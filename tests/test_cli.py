@@ -12,6 +12,7 @@ from prolongation.cli import main
 from prolongation.matspace import subspace_to_json
 from prolongation.obstruct import complex_structure_plane
 from conftest import conformal_subspace
+from reference import augment_with_full_range, augmented_to_json
 
 
 @pytest.fixture
@@ -152,8 +153,6 @@ def test_manifold_analysis_report(tmp_path):
 
 
 def test_jet_subcommand(tmp_path):
-    from prolongation.manifolds import augment_with_full_range, augmented_to_json
-
     V = conformal_subspace(3)
     aug_path = tmp_path / "aug.json"
     aug_path.write_text(json.dumps(augmented_to_json(augment_with_full_range(V))))
@@ -186,7 +185,7 @@ def test_detect_report_lists_every_tolerance(tmp_path):
     assert set(json.loads(out.read_text())["config"]["tolerances"]) == {
         "rank_rel", "orthonormality",
         "certificate", "certificate_distance",
-        "fd_step", "on_manifold", "jet_consistency",
+        "on_manifold", "jet_consistency",
         "polish_stall_window", "polish_newton_ratio"}
 
 
@@ -240,7 +239,8 @@ def test_the_guard_catches_a_broken_rank_decision(tmp_path, monkeypatch, capsys,
 
     import prolongation.matspace as matspace_mod
     from conftest import well_conditioned
-    from prolongation.matspace import conjugate, make_subspace
+    from prolongation.matspace import make_subspace
+    from reference import conjugate
 
     rng = np.random.default_rng(11)
     if kind == "conjugated_w_pad":
@@ -269,8 +269,6 @@ COMMON_KEYS = {"subcommand", "format", "tolerances"}
 
 @pytest.fixture
 def cli_files(tmp_path, conformal_file):
-    from prolongation.manifolds import augment_with_full_range, augmented_to_json
-
     line = tmp_path / "line.json"
     line.write_text(json.dumps({"n": 2, "m": 2, "generators": [np.eye(2).tolist()]}))
     member = tmp_path / "member.json"

@@ -12,7 +12,8 @@ import numpy as np
 from conftest import well_conditioned
 import prolongation
 from prolongation import obstruct
-from prolongation.matspace import conjugate, make_subspace
+from prolongation.matspace import make_subspace
+from reference import conjugate
 
 SRC = str(Path(prolongation.__file__).resolve().parents[1])
 
@@ -24,8 +25,7 @@ import numpy as np
 
 import prolongation
 from prolongation import cli
-from prolongation.manifolds import augment_with_full_range, augmented_to_json
-from prolongation.matspace import make_subspace, subspace_from_json
+from prolongation.matspace import make_subspace
 from prolongation.obstruct import find_rank_one
 
 tmp = Path(sys.argv[1])
@@ -39,8 +39,11 @@ matrix = tmp / "A.json"
 matrix.write_text(json.dumps(np.eye(3).tolist()))
 codes = [cli.main(["manifold", "--family", "conformal", "--dim", "3",
                    "--emit-tangent", "--out", conformal])]
-aug.write_text(json.dumps(augmented_to_json(augment_with_full_range(
-    subspace_from_json(json.loads(Path(conformal).read_text()))))))
+# the full-range augmented space: (B, 0) for each tangent B, and (0, e_a)
+aug.write_text(json.dumps({"n": 3, "m": 3, "generators": [
+    {"matrix": B, "vector": [0.0] * 3}
+    for B in json.loads(Path(conformal).read_text())["generators"]] + [
+    {"matrix": np.zeros((3, 3)).tolist(), "vector": e} for e in np.eye(3).tolist()]}))
 for argv in (["chain", "--input", conformal],
              ["polysolve", "--input", conformal],
              ["verify", "--input", conformal, "--poly", str(member), "--samples", "5"],

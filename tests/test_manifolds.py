@@ -3,14 +3,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import conformal_subspace, skew_subspace, well_conditioned
+from conftest import conformal_subspace, fd_jacobian, skew_subspace
 from prolongation.manifolds import (
     AugmentedSubspace,
     DegeneratePointError,
-    augment_with_full_range,
     augmented_from_json,
     augmented_jet_space,
-    augmented_to_json,
     builtin_family,
     linear_family,
     make_augmented,
@@ -18,11 +16,11 @@ from prolongation.manifolds import (
     sample_analysis,
     tangent_space,
 )
-from prolongation.matspace import (largest_principal_angle, make_subspace, nullspace_rows,
-                                   subspaces_equal)
+from prolongation.matspace import largest_principal_angle, make_subspace, nullspace_rows
 from prolongation.obstruct import complex_structure_plane
 from prolongation.prolong import chain
-from prolongation.symtensor import hom_dim
+from prolongation.symtensor import HomPoly
+from reference import augment_with_full_range, augmented_to_json, evaluate, subspaces_equal
 
 
 def test_isometry_tangent_at_identity_is_skew():
@@ -102,21 +100,28 @@ def test_tangent_space_rejects_non_finite_points(name):
         tangent_space(builtin_family(name, 3), A)
 
 
+# a symmetric direction off the conformal set: at I + t S its defining residual
+# has norm 2 sqrt(2) t, to first order
+OFF_CONFORMAL = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("t, on", [(1e-10, True), (1e-9, False), (1e-6, False)])
+def test_tangent_space_gates_the_point_at_on_manifold(t, on):
+    fam = builtin_family("conformal", 3)
+    A = np.eye(3) + t * OFF_CONFORMAL
+    assert abs(np.linalg.norm(fam.defining(A)) - 2 * np.sqrt(2) * t) <= 1e-3 * t
+    if on:
+        assert tangent_space(fam, A).dim == 4
+    else:
+        with pytest.raises(ValueError, match="does not lie on the constraint set"):
+            tangent_space(fam, A)
+
+
 def test_tangent_space_flags_degenerate_points():
     fam = builtin_family("conformal", 3)
     # the apex of the cone satisfies the residual but the derivative drops rank
     with pytest.raises(DegeneratePointError):
         tangent_space(fam, np.zeros((3, 3)))
-
-
-def test_finite_difference_jacobian_fallback(rng):
-    fam = builtin_family("conformal", 3)
-    A = fam.sample(rng)
-    analytic = tangent_space(fam, A)
-    fam.jacobian_fn = None
-    numeric = tangent_space(fam, A)
-    assert numeric.dim == analytic.dim == 4
-    assert largest_principal_angle(analytic.flat, numeric.flat) <= 1e-6
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -126,11 +131,10 @@ def test_gram_family_jacobian_matches_finite_differences(name, n):
     expected = skew_subspace(n) if name == "isometry" else conformal_subspace(n)
     assert subspaces_equal(tangent_space(fam, np.eye(n)), expected, 1e-9)
     A = fam.sample(np.random.default_rng([n, 5]))
-    analytic = tangent_space(fam, A)
-    fam.jacobian_fn = None
-    numeric = tangent_space(fam, A)
-    assert numeric.dim == analytic.dim == fam.manifold_dim
-    assert largest_principal_angle(analytic.flat, numeric.flat) <= 1e-6
+    J = fam.jacobian_fn(A)
+    J_fd = fd_jacobian(lambda a: fam.defining(a.reshape(n, n)), A.ravel(), n * n, len(J))
+    assert np.linalg.norm(J - J_fd) <= 1e-6 * max(1.0, np.linalg.norm(J))
+    assert tangent_space(fam, A).dim == fam.manifold_dim
 
 
 def test_linear_family_tangent_is_the_subspace(rng):
@@ -186,7 +190,7 @@ def test_jet_full_space_counts_free_coefficients(rng):
     A = rng.standard_normal((2, 2))
     report = augmented_jet_space(aug, A, 4)
     assert not report.empty
-    assert report.dimension == sum(hom_dim(2, 2, j) for j in (2, 3, 4))
+    assert report.dimension == sum(2 * comb(j + 1, j) for j in (2, 3, 4))
 
 
 def test_jet_one_dimensional_exponential_condition():
@@ -248,6 +252,16 @@ def test_jet_degree_one_checks_the_first_order_part():
     assert inconsistent.empty and inconsistent.particular is None
 
 
+@pytest.mark.parametrize("t, empty", [(0.0, False), (1e-6, True)])
+def test_jet_gates_the_first_order_part_at_jet_consistency(t, empty):
+    # I + t S lies at distance sqrt(2) t from conformal 3, far above the
+    # jet_consistency slack of 1e-8
+    aug = augment_with_full_range(conformal_subspace(3))
+    report = augmented_jet_space(aug, np.eye(3) + t * OFF_CONFORMAL, 2)
+    assert report.empty is empty
+    assert report.dimension == (0 if empty else 3)
+
+
 def test_value_coupled_jet_satisfies_the_constraint_pointwise():
     from prolongation.matspace import nullspace_rows, row_complement
     from prolongation.symtensor import jacobian
@@ -264,7 +278,7 @@ def test_value_coupled_jet_satisfies_the_constraint_pointwise():
     for F in report.basis + [report.particular]:
         for _ in range(10):
             xi = rng.standard_normal(n)
-            pair = np.concatenate([jacobian(F, xi).ravel(), F.evaluate(xi)])
+            pair = np.concatenate([jacobian(F, xi).ravel(), evaluate(F, xi)])
             assert np.linalg.norm(perp @ pair) <= 1e-9 * max(1.0, np.linalg.norm(pair))
 
 
@@ -372,11 +386,12 @@ def test_value_coupled_jets_against_a_sampled_identity_oracle():
         seen.add("empty" if empty else "positive" if dimension else "zero")
         if empty:
             continue
-        assert np.array_equal(report.particular.degree_component(1).coeffs, A)
+        linear = report.particular.components.get(1, HomPoly.zero(aug.n, aug.m, 1))
+        assert np.array_equal(linear.coeffs, A)
         perp = nullspace_rows(aug.basis)
         for F in report.basis + [report.particular]:
             for xi in rng.standard_normal((5, aug.n)):
-                pair = np.concatenate([jacobian(F, xi).ravel(), F.evaluate(xi)])
+                pair = np.concatenate([jacobian(F, xi).ravel(), evaluate(F, xi)])
                 assert np.linalg.norm(perp @ pair) <= 1e-9 * max(1.0, np.linalg.norm(pair))
     assert seen == {"empty", "zero", "positive"}
 

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import conformal_subspace, random_subspace, skew_subspace, well_conditioned
 from prolongation.matspace import (
-    conjugate,
     distance,
     distances,
     largest_principal_angle,
@@ -17,8 +16,8 @@ from prolongation.matspace import (
     row_space,
     subspace_from_json,
     subspace_to_json,
-    subspaces_equal,
 )
+from reference import conjugate, subspaces_equal
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])

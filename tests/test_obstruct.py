@@ -5,13 +5,7 @@ import pytest
 
 from conftest import conformal_subspace, random_subspace, skew_subspace, well_conditioned
 from prolongation import obstruct
-from prolongation.matspace import (
-    conjugate,
-    distance,
-    make_subspace,
-    row_complement,
-    subspaces_equal,
-)
+from prolongation.matspace import make_subspace, row_complement
 from prolongation.obstruct import (
     ClassifyOutcome,
     ComplexPairWitness,
@@ -25,6 +19,7 @@ from prolongation.obstruct import (
     verify_rank_one,
 )
 from prolongation.prolong import DeltaStatus, chain, mk_direct
+from reference import conjugate, subspaces_equal
 
 
 def unit(v):
@@ -168,6 +163,21 @@ def test_verify_complex_pair_examples():
     full_rank = ComplexPairWitness(A=np.eye(3), B=J_pad)
     assert not verify_complex_pair(make_subspace(3, 3, [np.eye(3), J_pad]), full_rank)
     assert full_rank.residuals["rank_one"] > 0.1
+
+
+def test_verify_complex_pair_requires_both_matrices_in_v():
+    # the reference pair passes the rank-one and frame gates anywhere; in
+    # skew 3 only J_pad is a member, and I_pad lies at distance sqrt(2)
+    I_pad = pad(np.eye(2), 3, 3)
+    J_pad = pad(np.array([[0.0, -1.0], [1.0, 0.0]]), 3, 3)
+    outside = ComplexPairWitness(A=I_pad, B=J_pad)
+    assert not verify_complex_pair(skew_subspace(3), outside)
+    assert abs(outside.residuals["distance_a"] - np.sqrt(2.0)) <= 1e-12
+    assert outside.residuals["distance_b"] <= 1e-12
+    assert outside.P is None and "span_gap" not in outside.residuals
+    inside = ComplexPairWitness(A=I_pad.copy(), B=J_pad.copy())
+    assert verify_complex_pair(complex_structure_plane(3, 3), inside)
+    assert max(inside.residuals["distance_a"], inside.residuals["distance_b"]) <= 1e-12
 
 
 def test_verify_complex_pair_takes_one_svd_before_rejecting(monkeypatch):

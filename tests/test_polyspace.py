@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import conformal_subspace, random_polymap, skew_subspace, well_conditioned
-from prolongation.matspace import distance, largest_principal_angle, make_subspace, subspaces_equal
+from prolongation.matspace import distance, largest_principal_angle, make_subspace
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.polyspace import (
     PolyBasis, _sample_ball, reduced_basis, solution_basis, verify_membership,
 )
 from prolongation.prolong import chain, mk_direct
 from prolongation.symtensor import (
-    HomPoly, PolyMap, contract, jacobian, monomial_position, polymap_to_json,
+    HomPoly, PolyMap, jacobian, monomial_position, polymap_to_json,
 )
+from reference import contract, subspaces_equal
 
 
 def conformal_quadratic(axis, n=3):
@@ -31,7 +32,7 @@ def test_solution_basis_conformal_three():
     V = conformal_subspace(3)
     report = chain(V, 8)
     basis = solution_basis(report)
-    assert basis.dim == 10
+    assert len(basis.elements) == 10
     assert sorted(basis.degrees) == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
     # the linear span equals V, the quadratic span is the inversion family
     lin = make_subspace(3, 3, [
@@ -39,11 +40,11 @@ def test_solution_basis_conformal_three():
     ])
     assert subspaces_equal(lin, V, 1e-8)
     quad_rows = np.array([
-        F.components[2].coeff_vector()
+        F.components[2].coeffs.ravel()
         for F, d in zip(basis.elements, basis.degrees) if d == 2
     ])
     oracle_rows = np.array([
-        conformal_quadratic(axis).coeff_vector() for axis in range(3)
+        conformal_quadratic(axis).coeffs.ravel() for axis in range(3)
     ])
     oracle_rows /= np.linalg.norm(oracle_rows, axis=1, keepdims=True)
     q, _ = np.linalg.qr(oracle_rows.T)
@@ -54,7 +55,7 @@ def test_solution_basis_quaternion_is_affine():
     V = quaternion_right_multiplications()
     report = chain(V, 8)
     basis = solution_basis(report)
-    assert basis.dim == 8
+    assert len(basis.elements) == 8
     assert sorted(basis.degrees) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
@@ -62,7 +63,7 @@ def test_solution_basis_of_zero_subspace():
     V = make_subspace(2, 3, [])
     report = chain(V, 4)
     basis = solution_basis(report)
-    assert basis.dim == 3
+    assert len(basis.elements) == 3
     assert basis.degrees == [0, 0, 0]
 
 
@@ -77,29 +78,30 @@ def test_reduced_basis_dimensions():
     V = conformal_subspace(3)
     basis = solution_basis(chain(V, 8))
     red = reduced_basis(basis)
-    assert red.dim == 6  # alpha_total minus the linear block
+    assert len(red.elements) == 6  # alpha_total minus the linear block
 
     Vq = quaternion_right_multiplications()
     redq = reduced_basis(solution_basis(chain(Vq, 8)))
-    assert redq.dim == 4
+    assert len(redq.elements) == 4
 
     V0 = make_subspace(2, 3, [])
     red0 = reduced_basis(solution_basis(chain(V0, 4)))
-    assert red0.dim == 3
+    assert len(red0.elements) == 3
 
 
 def test_reduced_basis_has_exactly_zero_linear_part():
     V = conformal_subspace(3)
     basis = solution_basis(chain(V, 8))
-    full = np.array([
-        np.concatenate([F.degree_component(k).coeff_vector() for k in range(3)])
-        for F in basis.elements
-    ])
+    def vector(F):  # degrees 0 to 2, a missing degree read as zero
+        return np.concatenate([F.components.get(k, HomPoly.zero(3, 3, k)).coeffs.ravel()
+                               for k in range(3)])
+
+    full = np.array([vector(F) for F in basis.elements])
     for F in reduced_basis(basis).elements:
-        lin = F.degree_component(1).coeff_vector()
+        lin = F.components.get(1, HomPoly.zero(3, 3, 1)).coeffs
         assert np.all(lin == 0.0)
         # still inside the original span
-        vec = np.concatenate([F.degree_component(k).coeff_vector() for k in range(3)])
+        vec = vector(F)
         residual = vec - full.T @ (full @ vec)
         assert np.linalg.norm(residual) <= 1e-10
 
@@ -167,9 +169,22 @@ def test_verify_membership_rejects_vacuous_sampling(kwargs):
 
 def test_verify_membership_fails_on_a_non_finite_residual():
     V = make_subspace(2, 2, [np.eye(2)])
-    report = verify_membership(lambda x: np.full(2, np.nan), V, samples=5)
+    F = PolyMap(2, 2, {1: HomPoly(2, 2, 1, [[1.0, np.nan], [0.0, 1.0]])})
+    report = verify_membership(F, V, samples=5)
     assert not report.passed
     assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("scale, passed", [(0.5, True), (2.0, False)])
+def test_verify_membership_passes_exactly_up_to_tol(scale, passed):
+    # x -> (I + eps E_12) x has Jacobian I + eps E_12 everywhere, at distance
+    # exactly eps from span{I}
+    tol = 1e-9
+    eps = scale * tol
+    F = PolyMap(2, 2, {1: HomPoly(2, 2, 1, [[1.0, eps], [0.0, 1.0]])})
+    report = verify_membership(F, make_subspace(2, 2, [np.eye(2)]), samples=5, tol=tol)
+    assert report.passed is passed
+    assert abs(report.max_residual - eps) <= 1e-3 * eps
 
 
 @pytest.mark.parametrize("V", [conformal_subspace(3), make_subspace(3, 3, [])],
@@ -186,24 +201,15 @@ def test_verify_membership_is_the_worst_per_point_distance(rng, V, seed):
     assert abs(report.max_residual - worst) <= 1e-12 * max(1.0, worst)
 
 
-def test_verify_membership_accepts_callables(rng):
-    V = conformal_subspace(3)
-    basis = solution_basis(chain(V, 8))
-    F = basis.elements[7]
-    report = verify_membership(F.evaluate, V, samples=30, radius=1.0,
-                               tol=1e-6, seed=6)
-    assert report.passed  # finite differences land within the looser bound
-
-
 def test_grading_closure(rng):
     # degree components of arbitrary span combinations stay in their space
     V = conformal_subspace(3)
     report = chain(V, 8)
     basis = solution_basis(report)
     combo = sum(
-        (rng.standard_normal() * F.degree_component(d).coeffs
+        (rng.standard_normal() * F.components[d].coeffs
          for F, d in zip(basis.elements, basis.degrees) if d == 2),
-        start=np.zeros_like(basis.elements[-1].degree_component(2).coeffs),
+        start=np.zeros_like(basis.elements[-1].components[2].coeffs),
     )
     span = report.spaces[2].rows
     vec = combo.ravel()

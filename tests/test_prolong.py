@@ -13,8 +13,7 @@ from conftest import (
     skew_subspace,
     well_conditioned,
 )
-from prolongation.matspace import (conjugate, distance, largest_principal_angle, make_subspace,
-                                   row_complement)
+from prolongation.matspace import distance, largest_principal_angle, make_subspace, row_complement
 import prolongation.prolong as prolong_mod
 from prolongation.prolong import (
     DeltaStatus,
@@ -28,7 +27,8 @@ from prolongation.prolong import (
 )
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.obstruct import complex_structure_plane
-from prolongation.symtensor import HomPoly, derivative_op, hom_dim, monomial_basis, slot_matrix
+from prolongation.symtensor import HomPoly, derivative_op, monomial_basis
+from reference import conjugate, slot_matrix
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -61,7 +61,7 @@ def test_mk_direct_holomorphic_degree_five_contains_powers():
     assert space.dim == 2
     span = space.rows
     for p in (holomorphic_power(5), rotate_power(5)):
-        vec = p.coeff_vector()
+        vec = p.coeffs.ravel()
         vec = vec / np.linalg.norm(vec)
         residual = vec - span.T @ (span @ vec)
         assert np.linalg.norm(residual) < 1e-10
@@ -109,8 +109,8 @@ def assert_complement_invariants(space):
     n, m, k = space.n, space.m, space.degree
     rows = space.rows
     perp = row_complement(rows) if space._perp is None else space._perp
-    assert perp.shape[1] == rows.shape[1] == hom_dim(n, m, k)
-    assert space.dim + perp.shape[0] == hom_dim(n, m, k)
+    assert perp.shape[1] == rows.shape[1] == m * comb(n + k - 1, k)
+    assert space.dim + perp.shape[0] == m * comb(n + k - 1, k)
     assert np.linalg.norm(perp @ perp.T - np.eye(perp.shape[0])) <= 1e-12
     assert np.linalg.norm(perp @ rows.T) <= 1e-12
 
@@ -433,7 +433,7 @@ def test_chain_holomorphic_plane_reaches_k_max():
     # oracle: the real and imaginary parts of the k-th power solve every degree
     for space in report.spaces[1:]:
         span = space.rows
-        vec = holomorphic_power(space.degree).coeff_vector()
+        vec = holomorphic_power(space.degree).coeffs.ravel()
         vec /= np.linalg.norm(vec)
         assert np.linalg.norm(vec - span.T @ (span @ vec)) < 1e-10
 
@@ -444,7 +444,7 @@ def test_chain_on_the_whole_matrix_space():
     n, m = 3, 2
     V = make_subspace(n, m, list(np.eye(m * n).reshape(-1, m, n)))
     report = chain(V, 4)
-    assert report.alpha == [hom_dim(n, m, k) for k in range(5)]
+    assert report.alpha == [m * comb(n + k - 1, k) for k in range(5)]
     assert report.delta.status == "lower_bound" and report.delta.value == 4
     for k, space in enumerate(report.spaces):
         assert spaces_match(space, mk_direct(V, k)), k
