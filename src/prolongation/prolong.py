@@ -140,8 +140,10 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     of V.  Slot matrix b times k!/beta! has column j equal to
     ``exponent[b, j]`` times coefficient ``index[b, j]`` (the
     :func:`derivative_op` table), a row scaling that keeps the kernel and
-    keeps every entry between 1 and k.  One thin SVD gives the row space of
-    the system, the complement of the space, which is all it stores.
+    keeps every entry between 1 and k.  :func:`row_space` gives the row
+    space of the system, the complement of the space, which is all it
+    stores: by CholeskyQR2 when the system's Gram matrix certifies full row
+    rank, else by one thin SVD.
     Degree 0 returns all constants.
     """
     n, m = V.n, V.m

@@ -1,14 +1,16 @@
 """Oracles the tests compare the library against: the paper's definitions in
 symmetric-tensor form (a partial derivative, a slot contraction, one slot
 matrix, a point value), conjugation of a subspace, equality of subspaces up
-to an angle, and the full-range augmented subspace with its JSON form.  No
-subcommand needs them, so they live beside the tests."""
+to an angle, a row space by one thin SVD, and the full-range augmented
+subspace with its JSON form.  No subcommand needs them, so they live beside
+the tests."""
 
 import numpy as np
 
 from prolongation.config import TOLERANCES
 from prolongation.manifolds import AugmentedSubspace, make_augmented
-from prolongation.matspace import MatrixSubspace, largest_principal_angle, make_subspace
+from prolongation.matspace import (MatrixSubspace, largest_principal_angle, make_subspace,
+                                   rank_from_singular_values)
 from prolongation.symtensor import (HomPoly, derivative_coords, derivative_op, monomial_basis,
                                     monomial_position, slot_matrices)
 
@@ -76,6 +78,16 @@ def subspaces_equal(V1: MatrixSubspace, V2: MatrixSubspace, angle_tol: float) ->
     if (V1.n, V1.m) != (V2.n, V2.m) or V1.dim != V2.dim:
         return False
     return largest_principal_angle(V1.flat, V2.flat) <= angle_tol
+
+
+def thin_svd_row_space(A) -> np.ndarray:
+    """Orthonormal rows spanning the row space of A from one thin SVD, with
+    the rank the rank rule counts on its singular values."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] == 0:
+        return np.zeros((0, A.shape[1]))
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[:rank_from_singular_values(s)].copy()
 
 
 def augment_with_full_range(V: MatrixSubspace) -> AugmentedSubspace:

@@ -17,7 +17,7 @@ from prolongation.matspace import (
     subspace_from_json,
     subspace_to_json,
 )
-from reference import conjugate, subspaces_equal
+from reference import conjugate, subspaces_equal, thin_svd_row_space
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -231,6 +231,49 @@ def test_row_space_is_the_row_space_half_and_owns_its_rows(rng, rows, cols, rank
     assert rows_only.base is None or rows_only.base.nbytes <= rows_only.nbytes
     assert np.linalg.norm(rows_only @ rows_only.T - np.eye(rank)) <= 1e-12
     assert np.linalg.norm(rows_only @ nullspace_rows(A).T) <= 1e-12
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    return calls
+
+
+def planted_wide(rng, singular_values, cols):
+    u, _ = np.linalg.qr(rng.standard_normal((len(singular_values), len(singular_values))))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, len(singular_values))))
+    return (u * singular_values) @ v.T
+
+
+# sigma_min/sigma_1 = ratio: the Gram certificate takes the wide path at 0.5
+# and 1e-4; CholeskyQR2's conditioning bound at 12 x 50 refuses 1e-6, and the
+# thin SVD decides 2e-9, 5e-10 and 0; 1e-8 is held to the oracle alone
+@pytest.mark.parametrize("ratio, svds", [
+    (0.5, 0), (1e-4, 0), (1e-6, 1), (1e-8, None), (2e-9, 1), (5e-10, 1), (0.0, 1)])
+def test_row_space_of_a_wide_matrix_matches_the_thin_svd_oracle(rng, monkeypatch, ratio, svds):
+    A = planted_wide(rng, np.linspace(1.0, ratio, 12), 50)
+    calls = count_svds(monkeypatch)
+    rows = row_space(A)
+    if svds is not None:
+        assert len(calls) == svds
+    oracle = thin_svd_row_space(A)
+    assert rows.shape == oracle.shape
+    assert np.linalg.norm(rows @ rows.T - np.eye(len(rows))) <= 1e-12
+    if ratio >= 1e-4:
+        assert largest_principal_angle(rows, oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("scale, rank, svds", [(1e-8, 12, 0), (5e-10, 0, 1)])
+def test_row_space_of_a_small_wide_matrix_keeps_the_rank_rules_absolute_floor(
+        rng, monkeypatch, scale, rank, svds):
+    # orthonormal rows times scale: perfectly conditioned, so only the rank
+    # rule's floor rank_rel * max(1, sigma_1) tells the two apart
+    A = scale * planted_wide(rng, np.ones(12), 50)
+    calls = count_svds(monkeypatch)
+    rows = row_space(A)
+    assert len(calls) == svds
+    assert rows.shape == thin_svd_row_space(A).shape == (rank, 50)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 6), (6, 6), (4, 9), (1, 30)],

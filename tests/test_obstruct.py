@@ -251,6 +251,27 @@ def test_verify_complex_pair_gates_the_product_of_the_frame_ratios():
     assert "distance_a" not in witness.residuals
 
 
+def test_verify_complex_pair_binds_the_certificate_at_a_near_pair(rng):
+    # X = z zeta^T / |z zeta^T| + 1e-5 u_2 v_2^H, with u_2 orthogonal to z and
+    # v_2 to conj(zeta), has sigma_2/sigma_1 = 1e-5 and lies in
+    # V = span{Re X, Im X}; its distances are rounding and its span_gap about
+    # 1e-5, so a certificate of 1e-3 would pass it and 1e-7 must not
+    def orthogonal_unit(w):
+        r = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        r -= np.vdot(w, r) / np.vdot(w, w) * w
+        return r / np.linalg.norm(r)
+
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    zeta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    exact = np.outer(z, zeta) / np.linalg.norm(np.outer(z, zeta))
+    near = exact + 1e-5 * np.outer(orthogonal_unit(z), orthogonal_unit(zeta.conj()).conj())
+    witness = ComplexPairWitness(A=near.real, B=near.imag)
+    assert not verify_complex_pair(make_subspace(3, 3, [near.real, near.imag]), witness)
+    assert abs(witness.residuals["rank_one"] - 1e-5) <= 1e-9
+    witness = ComplexPairWitness(A=exact.real, B=exact.imag)
+    assert verify_complex_pair(make_subspace(3, 3, [exact.real, exact.imag]), witness)
+
+
 def test_verify_complex_pair_fails_closed():
     W = complex_structure_plane(3, 3)
     A, B = W.basis[0].copy(), W.basis[1].copy()

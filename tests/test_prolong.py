@@ -189,23 +189,47 @@ def test_mk_step_delta_route_runs_one_svd_and_no_complement(rng, monkeypatch):
     assert [space.dim for space in spaces] == [3, 2, 2, 2, 2, 2]
 
 
-def test_a_wide_step_runs_one_thin_svd_of_the_slot_system(monkeypatch):
-    # trace-free 3 is wide from degree 2 on: each step factors the slot system
-    # of V's one complement matrix, C(n+k-2, k-1) rows, and nothing else
-    V = trace_free_subspace(3)
-    prev = mk_step(V, mk_step(V, constants_space(3, 3)))
-    routes = record_routes(monkeypatch)
+def record_svd_shapes(monkeypatch):
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True, **kw:
                         shapes.append((np.shape(a), full_matrices))
                         or svd(a, full_matrices=full_matrices, **kw))
+    return shapes
+
+
+def test_a_certified_wide_step_runs_no_svd_of_the_slot_system(monkeypatch):
+    # trace-free 3 is wide from degree 2 on: the slot system of V's one
+    # complement matrix, C(n+k-2, k-1) rows, has full row rank, which its Gram
+    # matrix certifies, so CholeskyQR2 orthonormalizes it and no SVD runs
+    V = trace_free_subspace(3)
+    prev = mk_step(V, mk_step(V, constants_space(3, 3)))
+    routes = record_routes(monkeypatch)
+    shapes = record_svd_shapes(monkeypatch)
+    for k in (3, 4):
+        prev = mk_step(V, prev)
+        assert_complement_invariants(prev)
+    assert shapes == []
+    assert routes == ["mk_direct"] * 2
+    assert prev.dim == 35
+
+
+def test_a_rank_deficient_wide_step_runs_one_thin_svd_of_the_slot_system(rng, monkeypatch):
+    # maps into 4 of 6 coordinates, conjugated, from degree 3 on: the slot
+    # system of V's four complement matrices has rank 8 of its 12 rows at
+    # k = 3 and 10 of 16 at k = 4, so no Gram certificate holds and one thin
+    # SVD of the system decides its rank
+    V = conjugate(maps_into(2, 6, 4), well_conditioned(rng, 6), well_conditioned(rng, 2))
+    prev = chain(V, 2).spaces[-1]
+    routes = record_routes(monkeypatch)
+    shapes = record_svd_shapes(monkeypatch)
     for k in (3, 4):
         shapes.clear()
         prev = mk_step(V, prev)
-        assert shapes == [((comb(k + 1, k - 1), 3 * comb(k + 2, k)), False)]
+        assert shapes == [((4 * k, 6 * (k + 1)), False)]
+        assert_complement_invariants(prev)
     assert routes == ["mk_direct"] * 2
-    assert prev.dim == 35
+    assert prev.dim == 20
 
 
 def test_a_wide_step_reads_nothing_of_prev_but_its_degree_and_dim(rng):
@@ -299,16 +323,13 @@ def test_mk_direct_does_not_pin_its_svd_factor():
 
 def test_wide_step_stores_only_its_complement(monkeypatch):
     # trace-free 6 from degree 4 to 5: the 126 x 1512 slot system of V's one
-    # complement matrix, whose kernel, the 1386-row basis, is 16.8 MB
+    # complement matrix, whose kernel, the 1386-row basis, is 16.8 MB; its
+    # Gram matrix certifies full row rank, so no SVD of it runs
     V = trace_free_subspace(6)
     prev = chain(V, 4).spaces[-1]
     # the derivative table is cached across calls; measure the step alone
     derivative_op(6, 5)
-    shapes = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True, **kw:
-                        shapes.append((np.shape(a), full_matrices))
-                        or svd(a, full_matrices=full_matrices, **kw))
+    shapes = record_svd_shapes(monkeypatch)
     tracemalloc.start()
     try:
         space = mk_step(V, prev)
@@ -316,7 +337,7 @@ def test_wide_step_stores_only_its_complement(monkeypatch):
     finally:
         tracemalloc.stop()
     assert space.dim == 1386
-    assert shapes == [((126, 1512), False)]
+    assert shapes == []
     assert peak <= 16e6
     assert retained <= 5e6
 
