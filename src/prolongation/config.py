@@ -28,7 +28,7 @@ class Tolerances:
     polish_newton_ratio: float = 1e-2  # sigma_2/sigma_1 below which Newton steps finish the polish
 
     # manifold checks
-    on_manifold: float = 1e-9         # residual bound for points on a constraint set
+    on_manifold: float = 1e-9         # residual bound, times max(1, |A|_2^2), of a point
     jet_consistency: float = 1e-8     # least-squares residual bound for jet systems
 
     def to_dict(self) -> dict:

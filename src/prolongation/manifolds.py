@@ -174,11 +174,16 @@ def builtin_family(name: str, n: int) -> ConstraintFamily:
 
 
 def tangent_space(family: ConstraintFamily, A) -> MatrixSubspace:
-    """Kernel of the defining function's derivative at an admissible A."""
+    """Kernel of the defining function's derivative at an A whose residual
+    is at most ``on_manifold`` times max(1, ||A||_2^2): the defining
+    functions are at most quadratic, and their rounding grows as ||A||_2^2."""
     A = np.asarray(A, dtype=float)
     if A.shape != (family.m, family.n):
         raise ValueError("point has the wrong shape")
-    if not np.linalg.norm(family.defining(A)) <= TOLERANCES.on_manifold:  # NaN fails
+    residual, gate = np.linalg.norm(family.defining(A)), TOLERANCES.on_manifold
+    # the SVD behind ||A||_2 runs only past the unit gate, and never on a NaN
+    if not (residual <= gate or (np.isfinite(residual)
+                                 and residual <= gate * np.linalg.norm(A, 2) ** 2)):
         raise ValueError("the point does not lie on the constraint set")
     rows = nullspace_rows(np.asarray(family.jacobian_fn(A)))
     if rows.shape[0] != family.manifold_dim:

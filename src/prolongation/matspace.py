@@ -3,10 +3,10 @@
 Construction, projection, distances and rank decisions.  Every
 numerical-dependence decision compares against the one threshold
 ``rank_rel``: each rank and nullspace in the package is either counted by
-:func:`rank_from_singular_values` or, for a wide matrix in
-:func:`row_space`, certified by its Gram matrix to be the rank that rule
-would count; and a generator counts as dependent unless its residual
-exceeds ``rank_rel`` times its norm.
+:func:`rank_from_singular_values` or, for a wide matrix that
+:func:`full_row_rank` certifies, proved by its Gram matrix to be the full
+row rank that rule would count; and a generator counts as dependent unless
+its residual exceeds ``rank_rel`` times its norm.
 """
 
 from dataclasses import dataclass
@@ -25,56 +25,46 @@ def rank_from_singular_values(s: np.ndarray) -> int:
 
 def row_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the row space of A, shape (rank, A.shape[1]),
-    with the rank :func:`rank_from_singular_values` counts on A's thin SVD.
+    copied out of A's thin SVD, with the rank the rank rule counts on it."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] == 0:
+        return np.zeros((0, A.shape[1]))
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[:rank_from_singular_values(s)].copy()
 
-    A wide A (r rows < c columns) whose r x r Gram matrix proves full row
-    rank skips that SVD.  With eps the machine epsilon, u = eps / 2 and
-    t = trace(G) for the computed G = fl(A A^T):
 
-    - G = A A^T + E with |E| <= gamma_c |A| |A|^T, so ||E||_2 <= c u t
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5);
-    - ``eigvalsh`` is backward stable, exact for G + F with ||F||_2 a
-      modest multiple of r u ||G||_2 <= r u t;
+def full_row_rank(A: np.ndarray) -> bool:
+    """Whether the r x r Gram matrix of a wide A (r rows < c columns) proves,
+    without an SVD, the full row rank r that :func:`rank_from_singular_values`
+    would count on A's thin SVD.  With eps the machine epsilon, u = eps / 2
+    and t = trace(G) for the computed G = fl(A A^T):
+
+    - G = A A^T + E with ||E||_2 <= c u t (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2002, 3.5), and ``eigvalsh`` is exact for
+      G + F with ||F||_2 a modest multiple of r u t;
     - so by Weyl's inequality each computed eigenvalue lies within
-      delta = 8 (r + c) eps t of a squared singular value sigma_i^2, a
-      generous multiple of both terms; likewise a backward stable thin SVD
-      computes each sigma_i to within eta = 8 (r + c) eps sqrt(t).
+      delta = 8 (r + c) eps t of a squared singular value sigma_i^2, and a
+      backward stable thin SVD computes each sigma_i to within
+      eta = 8 (r + c) eps sqrt(t).
 
-    With low = lambda_min - delta <= sigma_min^2 and
-    high = lambda_max + delta >= sigma_max^2, the rows come from CholeskyQR2,
-    two passes of L = cholesky(P P^T), P = L^-1 P from P = A (``inv`` forms
-    L^-1: numpy has no triangular solve, and ``solve`` is slower), when
-
-    - low > 64 r (r + c + 1) eps high: then kappa(A)^2 <= high / low meets
-      CholeskyQR2's condition 64 kappa^2 u (c r + r (r + 1)) <= 1
-      (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015), under
-      which the rows come out orthonormal to a small multiple of
-      (c r + r^2) u, and the scaled least eigenvalue of G exceeds
-      r gamma_{r+1}, under which its Cholesky runs to completion (Higham,
-      Theorem 10.7);
-    - sqrt(low) - eta > rank_rel * max(1, sqrt(high) + eta): every sigma_i
-      the thin SVD would compute then passes the rank rule, which would
-      count r.
-
-    Otherwise the thin SVD runs, and its rows are copied out of the factor,
-    so they do not keep it alive.
+    With low = lambda_min - delta and high = lambda_max + delta, A is
+    certified when low > 64 r (r + c + 1) eps high, which bounds
+    kappa(A)^2 <= high / low and with it the error of the complement
+    :func:`row_complement` builds from A, and when every sigma_i the thin
+    SVD would compute passes the rank rule:
+    sqrt(low) - eta > rank_rel * max(1, sqrt(high) + eta).  An empty A passes.
     """
     A = np.asarray(A, dtype=float)
     rows, cols = A.shape
-    if rows == 0:
-        return np.zeros((0, cols))
-    if rows < cols:
-        gram = A @ A.T
-        eps, t = np.finfo(float).eps, float(np.trace(gram))
-        delta, eta = 8 * (rows + cols) * eps * t, 8 * (rows + cols) * eps * np.sqrt(t)
-        lam = np.linalg.eigvalsh(gram)
-        low, high = lam[0] - delta, lam[-1] + delta
-        if (low > 64 * rows * (rows + cols + 1) * eps * high
-                and np.sqrt(low) - eta > TOLERANCES.rank_rel * max(1.0, np.sqrt(high) + eta)):
-            P = np.linalg.inv(np.linalg.cholesky(gram)) @ A
-            return np.linalg.inv(np.linalg.cholesky(P @ P.T)) @ P
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[:rank_from_singular_values(s)].copy()
+    if not 0 < rows < cols:
+        return rows == 0
+    gram = A @ A.T
+    eps, t = np.finfo(float).eps, float(np.trace(gram))
+    delta, eta = 8 * (rows + cols) * eps * t, 8 * (rows + cols) * eps * np.sqrt(t)
+    lam = np.linalg.eigvalsh(gram)
+    low, high = lam[0] - delta, lam[-1] + delta
+    return bool(low > 64 * rows * (rows + cols + 1) * eps * high
+                and np.sqrt(low) - eta > TOLERANCES.rank_rel * max(1.0, np.sqrt(high) + eta))
 
 
 def nullspace_rows(A: np.ndarray) -> np.ndarray:
@@ -90,10 +80,12 @@ def nullspace_rows(A: np.ndarray) -> np.ndarray:
 
 
 def row_complement(B: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the orthogonal complement of the row span of
-    B, shape (B.shape[1] - B.shape[0], B.shape[1]).  B must have orthonormal
-    rows: the complement is read from a complete QR of B^T, which decides no
-    rank.  A copy, so that it does not keep the square factor alive."""
+    """The (c - r) x c orthonormal complement of the row span of an r x c B
+    of full row rank, from a complete Householder QR of B^T, which decides
+    no rank.  That QR is backward stable (Higham, 19.3): the rows are
+    orthogonal to B's to a small multiple of c eps ||B||_2, and within an
+    angle of about kappa(B) c eps of the exact complement.  A copy, so that
+    it does not keep the square factor alive."""
     q, _ = np.linalg.qr(B.T, mode="complete")
     return q[:, B.shape[0]:].T.copy()
 

@@ -20,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .matspace import MatrixSubspace, distances, nullspace_rows, row_complement, row_space
+from .matspace import (MatrixSubspace, distances, full_row_rank, nullspace_rows, row_complement,
+                       row_space)
 from .symtensor import (HomPoly, derivative_coords, derivative_op, polymap_to_json, PolyMap,
                         slot_matrices)
 from math import comb
@@ -33,7 +34,7 @@ class HomSolutionSpace:
     ``rows`` holds the basis as orthonormal coefficient vectors, shape
     (dim, m * C(n+k-1, k)); every element has all its slot matrices in V
     up to the nullspace rank decisions.  A construction stores ``_rows``, or
-    ``_perp``, orthonormal rows spanning the orthogonal complement of
+    ``_perp``, rows of full row rank spanning the orthogonal complement of
     ``rows``, from which :func:`row_complement` builds ``rows`` on first use.
     """
 
@@ -140,10 +141,10 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     of V.  Slot matrix b times k!/beta! has column j equal to
     ``exponent[b, j]`` times coefficient ``index[b, j]`` (the
     :func:`derivative_op` table), a row scaling that keeps the kernel and
-    keeps every entry between 1 and k.  :func:`row_space` gives the row
-    space of the system, the complement of the space, which is all it
-    stores: by CholeskyQR2 when the system's Gram matrix certifies full row
-    rank, else by one thin SVD.
+    keeps every entry between 1 and k.  The row space of the system is the
+    complement of the space, and it is all the step stores: the system
+    itself when :func:`full_row_rank` certifies it, which runs no SVD and
+    bounds its condition number, else its :func:`row_space` by one thin SVD.
     Degree 0 returns all constants.
     """
     n, m = V.n, V.m
@@ -158,7 +159,8 @@ def mk_direct(V: MatrixSubspace, k: int) -> HomSolutionSpace:
     system = np.zeros((len(index), len(perp), m, monomials))
     system[np.arange(len(index))[:, None], :, :, index] = (
         np.moveaxis(perp, 2, 0) * exponent[:, :, None, None])
-    return HomSolutionSpace(k, n, m, _perp=row_space(system.reshape(-1, m * monomials)))
+    system = system.reshape(-1, m * monomials)
+    return HomSolutionSpace(k, n, m, _perp=system if full_row_rank(system) else row_space(system))
 
 
 def _step_degree(V: MatrixSubspace, prev: HomSolutionSpace) -> int:

@@ -117,6 +117,26 @@ def test_tangent_space_gates_the_point_at_on_manifold(t, on):
             tangent_space(fam, A)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4])
+def test_tangent_space_accepts_an_exact_conformal_point_at_any_scale(rng, c):
+    # the residual of c Q rounds with c^2, and so does the gate
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    assert tangent_space(builtin_family("conformal", 3), c * Q).dim == 4
+
+
+@pytest.mark.parametrize("t, on", [(1e-10, True), (1e-9, False)])
+def test_tangent_space_gates_a_large_point_at_its_scale(t, on):
+    # c (I + t S) at c = 1e4 has residual 2 sqrt(2) t c^2, to first order,
+    # against the gate on_manifold * c^2 (1 + t)^2: the unit-scale boundary
+    fam = builtin_family("conformal", 3)
+    A = 1e4 * (np.eye(3) + t * OFF_CONFORMAL)
+    if on:
+        assert tangent_space(fam, A).dim == 4
+    else:
+        with pytest.raises(ValueError, match="does not lie on the constraint set"):
+            tangent_space(fam, A)
+
+
 def test_tangent_space_flags_degenerate_points():
     fam = builtin_family("conformal", 3)
     # the apex of the cone satisfies the residual but the derivative drops rank

@@ -7,6 +7,7 @@ from conftest import conformal_subspace, random_subspace, skew_subspace, well_co
 from prolongation.matspace import (
     distance,
     distances,
+    full_row_rank,
     largest_principal_angle,
     make_subspace,
     nullspace_rows,
@@ -246,22 +247,35 @@ def planted_wide(rng, singular_values, cols):
     return (u * singular_values) @ v.T
 
 
-# sigma_min/sigma_1 = ratio: the Gram certificate takes the wide path at 0.5
-# and 1e-4; CholeskyQR2's conditioning bound at 12 x 50 refuses 1e-6, and the
-# thin SVD decides 2e-9, 5e-10 and 0; 1e-8 is held to the oracle alone
+def stored_row_space(A, calls):
+    """The row space a wide step stores, as ``mk_direct`` reads it: A itself
+    when its Gram matrix certifies full row rank, which must run no SVD,
+    else its thin-SVD row space."""
+    if full_row_rank(A):
+        assert calls == []
+        return A
+    return row_space(A)
+
+
+# sigma_min/sigma_1 = ratio: the Gram certificate holds at 0.5 and 1e-4;
+# its conditioning bound at 12 x 50 refuses 1e-6, and the thin SVD decides
+# 2e-9, 5e-10 and 0; 1e-8 is held to the oracle alone
 @pytest.mark.parametrize("ratio, svds", [
     (0.5, 0), (1e-4, 0), (1e-6, 1), (1e-8, None), (2e-9, 1), (5e-10, 1), (0.0, 1)])
 def test_row_space_of_a_wide_matrix_matches_the_thin_svd_oracle(rng, monkeypatch, ratio, svds):
     A = planted_wide(rng, np.linspace(1.0, ratio, 12), 50)
     calls = count_svds(monkeypatch)
-    rows = row_space(A)
+    rows = stored_row_space(A, calls)
     if svds is not None:
         assert len(calls) == svds
     oracle = thin_svd_row_space(A)
+    # a certified A keeps its own rows, so the oracle's rank is 12
     assert rows.shape == oracle.shape
-    assert np.linalg.norm(rows @ rows.T - np.eye(len(rows))) <= 1e-12
+    if rows is not A:
+        assert np.linalg.norm(rows @ rows.T - np.eye(len(rows))) <= 1e-12
     if ratio >= 1e-4:
-        assert largest_principal_angle(rows, oracle) <= 1e-10
+        orthonormal = np.linalg.qr(rows.T)[0].T
+        assert largest_principal_angle(orthonormal, oracle) <= 1e-10
 
 
 @pytest.mark.parametrize("scale, rank, svds", [(1e-8, 12, 0), (5e-10, 0, 1)])
@@ -271,9 +285,17 @@ def test_row_space_of_a_small_wide_matrix_keeps_the_rank_rules_absolute_floor(
     # rule's floor rank_rel * max(1, sigma_1) tells the two apart
     A = scale * planted_wide(rng, np.ones(12), 50)
     calls = count_svds(monkeypatch)
-    rows = row_space(A)
+    rows = stored_row_space(A, calls)
     assert len(calls) == svds
     assert rows.shape == thin_svd_row_space(A).shape == (rank, 50)
+
+
+@pytest.mark.parametrize("shape, certified", [
+    ((0, 6), True), ((0, 0), True), ((6, 6), False), ((9, 4), False), ((4, 9), True)],
+    ids=["zero-row", "empty", "square", "tall", "wide"])
+def test_full_row_rank_certifies_wide_matrices_alone(rng, shape, certified):
+    # a Gaussian matrix of full rank: only a wide one is ever certified
+    assert full_row_rank(rng.standard_normal(shape)) is certified
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 6), (6, 6), (4, 9), (1, 30)],
@@ -289,6 +311,18 @@ def test_row_complement_of_orthonormal_rows_is_a_qr_complement(rng, rows, cols, 
     assert np.linalg.norm(perp @ perp.T - np.eye(cols - rows)) <= 1e-12
     assert np.linalg.norm(perp @ B.T) <= 1e-12
     assert perp.base is None
+
+
+def test_row_complement_of_full_rank_rows_is_the_complement_of_their_span(rng):
+    # sigma_min/sigma_1 = 1e-2: the rows are far from orthonormal, yet the
+    # complete QR of B^T and of (L^-1 B)^T, L the Cholesky factor of B B^T,
+    # run on the same reflectors, so the complements agree to rounding
+    B = planted_wide(rng, np.geomspace(1.0, 1e-2, 6), 40)
+    orthonormal = np.linalg.solve(np.linalg.cholesky(B @ B.T), B)
+    perp = row_complement(B)
+    assert np.linalg.norm(perp @ perp.T - np.eye(34)) <= 1e-12
+    assert np.linalg.norm(perp @ B.T) <= 1e-12 * np.linalg.norm(B, 2)
+    assert np.max(np.abs(perp - row_complement(orthonormal))) <= 1e-12
 
 
 def _orthonormal_pairs(rng):

@@ -75,6 +75,18 @@ def test_verify_rank_one_examples(rng):
     assert not verify_rank_one(V, zero)
 
 
+@pytest.mark.parametrize("scale, certified", [(1 + 5e-11, True), (1 + 2e-10, False)])
+def test_verify_rank_one_binds_the_orthonormality_gate(rng, scale, certified):
+    # w psi^T = scale * E_11 lies in V exactly, so the unit-norm slack
+    # orthonormality (1e-10) alone decides
+    E11 = np.zeros((3, 3))
+    E11[0, 0] = 1.0
+    V = make_subspace(3, 3, [E11, rng.standard_normal((3, 3))])
+    e1 = np.eye(3)[0]
+    witness = RankOneWitness(psi=scale * e1, w=e1, residual=0.0)
+    assert verify_rank_one(V, witness) is certified
+
+
 def test_find_complex_pair_on_the_reference_plane():
     W = complex_structure_plane(3, 3)
     witness = find_complex_pair(W, seed=4, restarts=8)

@@ -28,7 +28,7 @@ from prolongation.prolong import (
 from prolongation.manifolds import quaternion_right_multiplications
 from prolongation.obstruct import complex_structure_plane
 from prolongation.symtensor import HomPoly, derivative_op, monomial_basis
-from reference import conjugate, slot_matrix
+from reference import conjugate, slot_matrix, thin_svd_row_space
 
 I2 = np.eye(2)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -106,13 +106,18 @@ def trace_free_subspace(n):
 
 
 def assert_complement_invariants(space):
+    # a stored complement has full row rank, not orthonormal rows: it spans
+    # exactly the complement when the orthonormal basis is orthogonal to it
+    # and its rank, by the thin-SVD oracle, is its row count
     n, m, k = space.n, space.m, space.degree
     rows = space.rows
     perp = row_complement(rows) if space._perp is None else space._perp
     assert perp.shape[1] == rows.shape[1] == m * comb(n + k - 1, k)
     assert space.dim + perp.shape[0] == m * comb(n + k - 1, k)
-    assert np.linalg.norm(perp @ perp.T - np.eye(perp.shape[0])) <= 1e-12
-    assert np.linalg.norm(perp @ rows.T) <= 1e-12
+    assert np.linalg.norm(rows @ rows.T - np.eye(rows.shape[0])) <= 1e-12
+    assert thin_svd_row_space(perp).shape[0] == perp.shape[0]
+    if perp.size:
+        assert np.linalg.norm(perp @ rows.T) <= 1e-12 * np.linalg.norm(perp, 2)
 
 
 def test_complements_above_degree_two(rng):
@@ -198,20 +203,56 @@ def record_svd_shapes(monkeypatch):
     return shapes
 
 
+def refuse_factorizations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no Cholesky, inverse or SVD may run")
+
+    for name in ("cholesky", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def thin_svd_mk_direct(V, k, monkeypatch):
+    """``mk_direct`` with the certificate refused, which stores the slot
+    system's orthonormal row space from one thin SVD."""
+    with monkeypatch.context() as patch:
+        patch.setattr(prolong_mod, "full_row_rank", lambda A: False)
+        return mk_direct(V, k)
+
+
 def test_a_certified_wide_step_runs_no_svd_of_the_slot_system(monkeypatch):
     # trace-free 3 is wide from degree 2 on: the slot system of V's one
     # complement matrix, C(n+k-2, k-1) rows, has full row rank, which its Gram
-    # matrix certifies, so CholeskyQR2 orthonormalizes it and no SVD runs
+    # matrix certifies, so the step stores the system itself as the
+    # complement and runs no Cholesky, inverse or SVD; a basis read later
+    # comes from one complete QR of it
     V = trace_free_subspace(3)
     prev = mk_step(V, mk_step(V, constants_space(3, 3)))
     routes = record_routes(monkeypatch)
-    shapes = record_svd_shapes(monkeypatch)
     for k in (3, 4):
-        prev = mk_step(V, prev)
-        assert_complement_invariants(prev)
-    assert shapes == []
+        with monkeypatch.context() as patch:
+            refuse_factorizations(patch)
+            space = mk_step(V, prev)
+            assert space._rows is None
+            space.rows
+        assert_complement_invariants(space)
+        assert spaces_match(space, delta_step(V, prev))
+        assert spaces_match(space, thin_svd_mk_direct(V, k, monkeypatch))
+        prev = space
     assert routes == ["mk_direct"] * 2
     assert prev.dim == 35
+    # trace-free 6 at k = 5: the 126 x 1512 system of the benchmark's widest step
+    V = trace_free_subspace(6)
+    with monkeypatch.context() as patch:
+        refuse_factorizations(patch)
+        space = mk_direct(V, 5)
+        space.rows
+    assert space._perp.shape == (126, 1512)
+    assert_complement_invariants(space)
+    # of equal dimension, so the largest principal angle between the spaces
+    # is the one between their complements, whose sine is read cheaply
+    oracle = thin_svd_mk_direct(V, 5, monkeypatch)
+    assert oracle.dim == space.dim
+    assert np.linalg.norm(oracle._perp @ space.rows.T, 2) <= 1e-8
 
 
 def test_a_rank_deficient_wide_step_runs_one_thin_svd_of_the_slot_system(rng, monkeypatch):
@@ -393,7 +434,8 @@ def test_complement_only_space_builds_its_basis_without_an_svd(rng, monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", refuse)
             assert space.dim == direct.dim
-            assert_complement_invariants(space)
+            space.rows
+        assert_complement_invariants(space)
         assert spaces_match(space, direct)
         # the direct-to-delta switch factors the basis built from the complement
         assert spaces_match(delta_step(V, mk_step(V, prev)), direct_next)
